@@ -1,18 +1,12 @@
 package netstack
 
-import (
-	"sort"
-
-	"roborepair/internal/checkpoint"
-	"roborepair/internal/radio"
-)
+import "roborepair/internal/checkpoint"
 
 // AppendState serializes the table's entries in ascending ID order
 // (checkpoint section payload).
 func (t *NeighborTable) AppendState(b []byte) []byte {
-	all := t.All()
-	b = checkpoint.AppendU32(b, uint32(len(all)))
-	for _, n := range all {
+	b = checkpoint.AppendU32(b, uint32(len(t.entries)))
+	for _, n := range t.entries {
 		b = checkpoint.AppendI64(b, int64(n.ID))
 		b = checkpoint.AppendF64(b, n.Loc.X)
 		b = checkpoint.AppendF64(b, n.Loc.Y)
@@ -24,15 +18,18 @@ func (t *NeighborTable) AppendState(b []byte) []byte {
 // AppendState serializes the flooder's duplicate-suppression state in
 // ascending origin order (checkpoint section payload).
 func (f *Flooder) AppendState(b []byte) []byte {
-	origins := make([]radio.NodeID, 0, len(f.seen))
-	for id := range f.seen {
-		origins = append(origins, id)
+	n := 0
+	for _, e := range f.seen {
+		if e.known {
+			n++
+		}
 	}
-	sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
-	b = checkpoint.AppendU32(b, uint32(len(origins)))
-	for _, id := range origins {
-		b = checkpoint.AppendI64(b, int64(id))
-		b = checkpoint.AppendU64(b, f.seen[id])
+	b = checkpoint.AppendU32(b, uint32(n))
+	for id, e := range f.seen {
+		if e.known {
+			b = checkpoint.AppendI64(b, int64(id))
+			b = checkpoint.AppendU64(b, e.seq)
+		}
 	}
 	return b
 }

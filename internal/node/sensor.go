@@ -106,7 +106,11 @@ type Sensor struct {
 	medium *radio.Medium
 	sched  *sim.Scheduler
 
-	alive   bool
+	alive bool
+	// beacon is the sensor's beacon payload, boxed once: a sensor never
+	// moves, so every beacon it sends carries the same value, and reusing
+	// the interface keeps the 10 s heartbeat allocation-free.
+	beacon  any
 	table   *netstack.NeighborTable
 	router  *netstack.Router
 	flooder *netstack.Flooder
@@ -143,6 +147,7 @@ func NewSensor(id radio.NodeID, pos geom.Point, cfg Config, policy Policy, mediu
 		medium:  medium,
 		sched:   medium.Scheduler(),
 		alive:   true,
+		beacon:  wire.Beacon{From: id, Loc: pos},
 		table:   netstack.NewNeighborTable(),
 		flooder: netstack.NewFlooder(),
 		manager: cfg.Reliability.Manager,
@@ -350,7 +355,7 @@ func (s *Sensor) tick() {
 		Src:      s.id,
 		Dst:      radio.IDBroadcast,
 		Category: metrics.CatBeacon,
-		Payload:  wire.Beacon{From: s.id, Loc: s.pos},
+		Payload:  s.beacon,
 	})
 
 	deadline := now.Sub(s.cfg.BeaconPeriod * sim.Duration(s.cfg.MissedBeacons))
@@ -519,7 +524,7 @@ func (s *Sensor) HandleFrame(f radio.Frame) {
 				Src:      s.id,
 				Dst:      radio.IDBroadcast,
 				Category: metrics.CatReplacement,
-				Payload:  wire.Beacon{From: s.id, Loc: s.pos},
+				Payload:  s.beacon,
 			})
 		}
 	case wire.GuardianConfirm:

@@ -42,17 +42,25 @@ type reception struct {
 	end   sim.Time
 }
 
-// air tracks per-station audible transmission intervals.
+// air tracks per-station audible transmission intervals, indexed by
+// NodeID like the medium's other per-station state.
 type air struct {
-	byStation map[NodeID][]reception
+	byStation [][]reception
 }
 
-func newAir() *air {
-	return &air{byStation: make(map[NodeID][]reception)}
+// log returns the station's audible intervals (nil when none).
+func (a *air) log(st NodeID) []reception {
+	if int(st) >= len(a.byStation) {
+		return nil
+	}
+	return a.byStation[st]
 }
 
 // mark logs that a frame is audible at the station over [start, end).
 func (a *air) mark(st NodeID, r reception) {
+	if need := int(st) + 1; need > len(a.byStation) {
+		a.byStation = append(a.byStation, make([][]reception, need-len(a.byStation))...)
+	}
 	log := a.byStation[st]
 	// Prune entries that can no longer overlap anything in flight.
 	cutoff := r.start - (r.end-r.start)*8
@@ -68,7 +76,7 @@ func (a *air) mark(st NodeID, r reception) {
 // collided reports whether any other audible interval overlaps the frame's
 // interval at the station.
 func (a *air) collided(st NodeID, frame uint64, start, end sim.Time) bool {
-	for _, e := range a.byStation[st] {
+	for _, e := range a.log(st) {
 		if e.frame == frame {
 			continue
 		}
@@ -84,7 +92,7 @@ func (a *air) collided(st NodeID, frame uint64, start, end sim.Time) bool {
 func (a *air) busyUntil(st NodeID, now sim.Time) (sim.Time, bool) {
 	var until sim.Time
 	busy := false
-	for _, e := range a.byStation[st] {
+	for _, e := range a.log(st) {
 		if e.start <= now && now < e.end {
 			busy = true
 			if e.end > until {
@@ -131,8 +139,8 @@ func (m *Medium) tryTransmit(f Frame, enc []byte, pos sendSnapshot, frameID uint
 		// The frame is audible at every active station in range,
 		// regardless of addressing — that is what causes collisions.
 		audible := m.neighbors(pos.pos, pos.rng, f.Src)
-		for _, n := range audible {
-			m.air.mark(n.id, reception{frame: frameID, start: start, end: end})
+		for _, id := range audible {
+			m.air.mark(id, reception{frame: frameID, start: start, end: end})
 		}
 		m.recycle(audible)
 		// The sender itself hears its own transmission (for carrier
@@ -149,18 +157,18 @@ func (m *Medium) deliverContended(f Frame, enc []byte, frameID uint64, start, en
 		m.reg.CountTx(CatBlackout, 1)
 		return
 	}
-	deliverTo := func(n neighbor) {
-		if m.air.collided(n.id, frameID, start, end) {
+	deliverTo := func(id NodeID, st Station) {
+		if m.air.collided(id, frameID, start, end) {
 			m.collisionCt.Add(1)
 			return
 		}
-		if m.silenced(m.posOf(n.id)) {
+		if m.silenced(m.posOf(id)) {
 			return
 		}
-		if m.lost(f, n.id) {
+		if m.lost(f, id) {
 			return
 		}
-		m.handoff(f, enc, pos.pos, pos.rng, n.st)
+		m.handoff(f, enc, pos.pos, pos.rng, st)
 	}
 	if f.Dst != IDBroadcast {
 		dst := m.station(f.Dst)
@@ -170,12 +178,14 @@ func (m *Medium) deliverContended(f Frame, enc []byte, frameID uint64, start, en
 		if pos.pos.Dist2(m.posOf(f.Dst)) > pos.rng*pos.rng {
 			return
 		}
-		deliverTo(neighbor{id: f.Dst, st: dst})
+		deliverTo(f.Dst, dst)
 		return
 	}
 	buf := m.neighbors(pos.pos, pos.rng, f.Src)
-	for _, n := range buf {
-		deliverTo(n)
+	for _, id := range buf {
+		if st := m.stations[id]; st != nil { // nil: detached by a nested delivery
+			deliverTo(id, st)
+		}
 	}
 	m.recycle(buf)
 }

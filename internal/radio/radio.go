@@ -11,9 +11,7 @@
 package radio
 
 import (
-	"cmp"
 	"fmt"
-	"math"
 	"slices"
 
 	"roborepair/internal/geom"
@@ -213,13 +211,17 @@ type Medium struct {
 	mobile   []bool
 	cell     []cellKey // authoritative grid membership
 	count    int
-	grid     map[cellKey][]NodeID
-	air      *air
+	grid     grid
+	air      air
 	frameSeq uint64
-	// scratch is the reusable neighbor buffer for broadcast delivery; it
-	// keeps the per-Send slice allocation off the hot path. Borrow it
-	// with neighbors() and hand it back with recycle().
-	scratch []neighbor
+	// scratch is a stack of reusable neighbor-ID buffers, one per nesting
+	// level of delivery: a flood relay retransmits synchronously from
+	// HandleFrame, so a broadcast can start while an outer one is still
+	// walking its receivers. Level depth is the next free buffer. Borrow
+	// with neighbors() and hand back with recycle(); after warm-up no
+	// delivery allocates, however deep relays nest.
+	scratch [][]NodeID
+	depth   int
 	// collisionCt is the pre-resolved handle for the contention model's
 	// per-reception collision accounting.
 	collisionCt *metrics.Counter
@@ -239,8 +241,6 @@ type sendSnapshot struct {
 	pos geom.Point
 	rng float64
 }
-
-type cellKey struct{ cx, cy int }
 
 // NewMedium returns an empty medium using the given scheduler and metrics
 // registry. It rejects a misconfigured loss model (any model exposing
@@ -263,8 +263,7 @@ func NewMedium(sched *sim.Scheduler, reg *metrics.Registry, cfg Config) (*Medium
 		sched:       sched,
 		reg:         reg,
 		cfg:         cfg,
-		grid:        make(map[cellKey][]NodeID),
-		air:         newAir(),
+		grid:        grid{size: cfg.CellSize},
 		collisionCt: reg.Counter(CatCollision),
 		frameLoss:   fl,
 	}, nil
@@ -333,7 +332,7 @@ func (m *Medium) Attach(s Station) {
 	}
 	m.ensureID(id)
 	if m.stations[id] != nil {
-		m.removeFromGridAt(id, m.cell[id])
+		m.grid.remove(id, m.cell[id])
 		m.count--
 	}
 	m.stations[id] = s
@@ -342,9 +341,9 @@ func (m *Medium) Attach(s Station) {
 	p := s.RadioPos()
 	m.pos[id] = p
 	m.active[id] = s.RadioActive()
-	k := m.keyOf(p)
+	k := m.grid.keyOf(p)
 	m.cell[id] = k
-	m.grid[k] = append(m.grid[k], id)
+	m.grid.insert(id, k)
 	m.count++
 }
 
@@ -353,7 +352,7 @@ func (m *Medium) Detach(id NodeID) {
 	if m.station(id) == nil {
 		return
 	}
-	m.removeFromGridAt(id, m.cell[id])
+	m.grid.remove(id, m.cell[id])
 	m.stations[id] = nil
 	m.active[id] = false
 	m.mobile[id] = false
@@ -382,13 +381,13 @@ func (m *Medium) Moved(id NodeID, oldPos geom.Point) {
 	}
 	p := s.RadioPos()
 	m.pos[id] = p
-	newKey := m.keyOf(p)
+	newKey := m.grid.keyOf(p)
 	if newKey == m.cell[id] {
 		return
 	}
-	m.removeFromGridAt(id, m.cell[id])
+	m.grid.remove(id, m.cell[id])
 	m.cell[id] = newKey
-	m.grid[newKey] = append(m.grid[newKey], id)
+	m.grid.insert(id, newKey)
 }
 
 // Station returns the attached station with the given ID, or nil.
@@ -397,46 +396,18 @@ func (m *Medium) Station(id NodeID) Station { return m.station(id) }
 // Len reports the number of attached stations.
 func (m *Medium) Len() int { return m.count }
 
-func (m *Medium) keyOf(p geom.Point) cellKey {
-	return cellKey{
-		cx: int(math.Floor(p.X / m.cfg.CellSize)),
-		cy: int(math.Floor(p.Y / m.cfg.CellSize)),
-	}
-}
-
-func (m *Medium) removeFromGridAt(id NodeID, k cellKey) {
-	ids := m.grid[k]
-	for i, v := range ids {
-		if v == id {
-			ids[i] = ids[len(ids)-1]
-			m.grid[k] = ids[:len(ids)-1]
-			return
-		}
-	}
-}
-
-// neighbor pairs a candidate's ID with its station for delivery, so the
-// per-receiver loops never go back through a lookup.
-type neighbor struct {
-	id NodeID
-	st Station
-}
-
 // InRange returns the active stations strictly within radius of p,
 // excluding the station with ID exclude. Results are in deterministic
 // (ID-sorted) order. The returned slice is freshly allocated; internal
-// delivery paths use the reusable scratch buffer instead (see neighbors).
+// delivery paths use the reusable scratch stack instead (see neighbors).
 func (m *Medium) InRange(p geom.Point, radius float64, exclude NodeID) []Station {
-	if radius <= 0 {
+	ids := m.appendInRange(nil, p, radius, exclude)
+	if len(ids) == 0 {
 		return nil
 	}
-	ns := m.inRangeAppend(nil, p, radius, exclude)
-	if ns == nil {
-		return nil
-	}
-	out := make([]Station, len(ns))
-	for i, n := range ns {
-		out[i] = n.st
+	out := make([]Station, len(ids))
+	for i, id := range ids {
+		out[i] = m.stations[id]
 	}
 	return out
 }
@@ -454,116 +425,86 @@ type RangeEntry struct {
 // slice. Reusing dst across calls keeps the per-hop routing query
 // allocation-free in the steady state.
 func (m *Medium) AppendInRange(dst []RangeEntry, p geom.Point, radius float64, exclude NodeID) []RangeEntry {
+	ids := m.neighbors(p, radius, exclude)
+	for _, id := range ids {
+		dst = append(dst, RangeEntry{ID: id, Loc: m.posOf(id)})
+	}
+	m.recycle(ids)
+	return dst
+}
+
+// appendInRange appends the IDs of the active stations strictly within
+// radius of p (excluding exclude) to dst in ascending order and returns
+// the extended slice. Only the grid cells the query square overlaps are
+// visited, clamped to the grid's bounds, plus the far list. Candidates
+// resolve through the SoA caches: one bounds-checked slice load each for
+// activity and position, no interface calls except for mobile stations.
+func (m *Medium) appendInRange(dst []NodeID, p geom.Point, radius float64, exclude NodeID) []NodeID {
 	if radius <= 0 {
 		return dst
 	}
 	base := len(dst)
 	r2 := radius * radius
-	lo := m.keyOf(geom.Pt(p.X-radius, p.Y-radius))
-	hi := m.keyOf(geom.Pt(p.X+radius, p.Y+radius))
-	for cx := lo.cx; cx <= hi.cx; cx++ {
-		for cy := lo.cy; cy <= hi.cy; cy++ {
-			for _, id := range m.grid[cellKey{cx, cy}] {
-				if id == exclude || !m.active[id] {
-					continue
-				}
-				q := m.pos[id]
-				if m.mobile[id] {
-					q = m.stations[id].RadioPos()
-				}
-				if p.Dist2(q) <= r2 {
-					dst = append(dst, RangeEntry{ID: id, Loc: q})
+	g := &m.grid
+	lo := g.keyOf(geom.Pt(p.X-radius, p.Y-radius))
+	hi := g.keyOf(geom.Pt(p.X+radius, p.Y+radius))
+	x0, x1 := max(lo.cx, g.x0), min(hi.cx, g.x0+g.w-1)
+	for cy := max(lo.cy, g.y0); cy <= min(hi.cy, g.y0+g.h-1) && x0 <= x1; cy++ {
+		row := (cy - g.y0) * g.w
+		for _, cell := range g.cells[row+x0-g.x0 : row+x1-g.x0+1] {
+			for _, id := range cell {
+				if id != exclude && m.active[id] && p.Dist2(m.posOf(id)) <= r2 {
+					dst = append(dst, id)
 				}
 			}
 		}
 	}
-	sortRangeEntries(dst[base:])
-	return dst
-}
-
-// inRangeAppend appends the active stations strictly within radius of p
-// (excluding exclude) to dst in ID-sorted order and returns the extended
-// slice. Candidates resolve through the SoA caches: one bounds-checked
-// slice load each for activity and position, no interface calls except for
-// mobile stations.
-func (m *Medium) inRangeAppend(dst []neighbor, p geom.Point, radius float64, exclude NodeID) []neighbor {
-	if radius <= 0 {
-		return dst
-	}
-	base := len(dst)
-	r2 := radius * radius
-	lo := m.keyOf(geom.Pt(p.X-radius, p.Y-radius))
-	hi := m.keyOf(geom.Pt(p.X+radius, p.Y+radius))
-	for cx := lo.cx; cx <= hi.cx; cx++ {
-		for cy := lo.cy; cy <= hi.cy; cy++ {
-			for _, id := range m.grid[cellKey{cx, cy}] {
-				if id == exclude || !m.active[id] {
-					continue
-				}
-				q := m.pos[id]
-				if m.mobile[id] {
-					q = m.stations[id].RadioPos()
-				}
-				if p.Dist2(q) <= r2 {
-					dst = append(dst, neighbor{id: id, st: m.stations[id]})
-				}
-			}
+	for _, e := range g.far {
+		if id := e.id; id != exclude && m.active[id] && p.Dist2(m.posOf(id)) <= r2 {
+			dst = append(dst, id)
 		}
 	}
-	sortNeighbors(dst[base:])
+	sortIDs(dst[base:])
 	return dst
 }
 
-// neighbors fills the medium's scratch buffer with the active stations in
-// range. The caller owns the returned slice until it hands it back via
-// recycle; taking ownership (nilling m.scratch) keeps reentrant Sends —
-// flood relays retransmit synchronously from HandleFrame — from clobbering
-// the buffer mid-iteration.
-func (m *Medium) neighbors(p geom.Point, radius float64, exclude NodeID) []neighbor {
-	buf := m.scratch[:0]
-	m.scratch = nil
-	return m.inRangeAppend(buf, p, radius, exclude)
+// neighbors fills the next free buffer of the scratch stack with the IDs
+// of the active stations in range. The caller owns the returned slice
+// until it hands it back via recycle, in LIFO order; a reentrant Send made
+// meanwhile takes the level above, so nothing clobbers the buffer
+// mid-iteration.
+func (m *Medium) neighbors(p geom.Point, radius float64, exclude NodeID) []NodeID {
+	if m.depth == len(m.scratch) {
+		m.scratch = append(m.scratch, nil)
+	}
+	buf := m.scratch[m.depth][:0]
+	m.depth++
+	return m.appendInRange(buf, p, radius, exclude)
 }
 
-// recycle returns a neighbors buffer for reuse, dropping station
-// references so detached stations are not pinned. When reentrant delivery
-// installed its own (smaller) buffer meanwhile, the larger one wins.
-func (m *Medium) recycle(buf []neighbor) {
-	for i := range buf {
-		buf[i] = neighbor{}
-	}
-	if cap(buf) > cap(m.scratch) {
-		m.scratch = buf[:0]
-	}
+// recycle hands the innermost neighbors buffer back, keeping its (possibly
+// grown) storage for the next query at that level.
+func (m *Medium) recycle(buf []NodeID) {
+	m.depth--
+	m.scratch[m.depth] = buf[:0]
 }
 
-// sortCutover is the neighbor count above which sortNeighbors switches
-// from insertion sort to slices.SortFunc: past a few dozen entries the
-// quadratic cost of insertion sort overtakes pdqsort's overhead.
+// sortCutover is the candidate count above which sortIDs switches from
+// insertion sort to slices.Sort: past a few dozen entries the quadratic
+// cost of insertion sort overtakes pdqsort's overhead.
 const sortCutover = 24
 
-func sortNeighbors(ns []neighbor) {
-	if len(ns) > sortCutover {
-		slices.SortFunc(ns, func(a, b neighbor) int { return cmp.Compare(a.id, b.id) })
+// sortIDs sorts a query result into ascending ID order.
+func sortIDs(ids []NodeID) {
+	if len(ids) > sortCutover {
+		slices.Sort(ids)
 		return
 	}
 	// Insertion sort: typical neighbor lists are short, and this avoids
 	// any sort-machinery overhead on the hottest path.
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && ns[j].id < ns[j-1].id; j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
-		}
-	}
-}
-
-func sortRangeEntries(ns []RangeEntry) {
-	if len(ns) > sortCutover {
-		slices.SortFunc(ns, func(a, b RangeEntry) int { return cmp.Compare(a.ID, b.ID) })
-		return
-	}
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && ns[j].ID < ns[j-1].ID; j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
+	for i := 1; i < len(ids); i++ {
+		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
+			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
 }
@@ -653,14 +594,16 @@ func (m *Medium) deliver(f Frame, enc []byte, from geom.Point, rng float64) {
 	}
 	buf := m.neighbors(from, rng, f.Src)
 	checkOutage := m.cfg.Outage != nil
-	for _, n := range buf {
-		if checkOutage && m.cfg.Outage.Silenced(m.posOf(n.id)) {
+	for _, id := range buf {
+		if checkOutage && m.cfg.Outage.Silenced(m.posOf(id)) {
 			continue
 		}
-		if m.lost(f, n.id) {
+		if m.lost(f, id) {
 			continue
 		}
-		m.handoff(f, enc, from, rng, n.st)
+		if st := m.stations[id]; st != nil { // nil: detached by a nested delivery
+			m.handoff(f, enc, from, rng, st)
+		}
 	}
 	m.recycle(buf)
 }

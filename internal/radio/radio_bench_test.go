@@ -67,6 +67,21 @@ func BenchmarkNeighborsDense(b *testing.B) {
 	}
 }
 
+// BenchmarkMediumBroadcastNested measures a broadcast whose receivers
+// relay synchronously from HandleFrame, nesting five deliveries the way a
+// location-update flood does. Every nesting level reuses its own scratch
+// buffer, so steady state allocates nothing.
+func BenchmarkMediumBroadcastNested(b *testing.B) {
+	m, _ := relayField(5, nil)
+	f := Frame{Src: 1, Dst: IDBroadcast, Category: metrics.CatLocUpdate, Payload: 0}
+	m.Send(f)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Send(f)
+	}
+}
+
 // BenchmarkMediumUnicast is the point-to-point counterpart: one map
 // lookup, one range check, one delivery.
 func BenchmarkMediumUnicast(b *testing.B) {

@@ -1,10 +1,6 @@
 package radio
 
-import (
-	"sort"
-
-	"roborepair/internal/checkpoint"
-)
+import "roborepair/internal/checkpoint"
 
 // AppendState serializes the medium's station table and MAC state in
 // canonical order (checkpoint section payload): for every attached ID the
@@ -28,16 +24,17 @@ func (m *Medium) AppendState(b []byte) []byte {
 	}
 
 	b = checkpoint.AppendU64(b, m.frameSeq)
-	ids := make([]NodeID, 0, len(m.air.byStation))
-	for id, log := range m.air.byStation {
+	n := 0
+	for _, log := range m.air.byStation {
 		if len(log) > 0 {
-			ids = append(ids, id)
+			n++
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	b = checkpoint.AppendU32(b, uint32(len(ids)))
-	for _, id := range ids {
-		log := m.air.byStation[id]
+	b = checkpoint.AppendU32(b, uint32(n))
+	for id, log := range m.air.byStation {
+		if len(log) == 0 {
+			continue
+		}
 		b = checkpoint.AppendI64(b, int64(id))
 		b = checkpoint.AppendU32(b, uint32(len(log)))
 		for _, r := range log {

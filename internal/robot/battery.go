@@ -62,23 +62,46 @@ func (r *Robot) accrueEnergy() {
 	if r.bat == nil || r.died || r.failed {
 		return
 	}
-	now := r.sched.Now()
-	dt := float64(now.Sub(r.batAt))
+	if r.accrueTail(r.bat) {
+		r.batAt = r.sched.Now()
+	}
+}
+
+// accrueTail applies the draw (or charge) since the last accrual to b and
+// reports whether any time had elapsed.
+func (r *Robot) accrueTail(b *energy.Battery) bool {
+	dt := float64(r.sched.Now().Sub(r.batAt))
 	if dt <= 0 {
-		return
+		return false
 	}
-	r.batAt = now
 	if r.charging {
-		r.bat.Charge(r.cfg.Battery.RechargeW * dt)
-		return
+		b.Charge(r.cfg.Battery.RechargeW * dt)
+	} else {
+		b.Drain(r.currentPowerW() * dt)
 	}
-	r.bat.Drain(r.currentPowerW() * dt)
+	return true
 }
 
 // SettleEnergy folds lazily-accrued energy up to the current instant into
-// the ledger. The scenario layer calls it at end of run before reading
-// final ledgers; it is idempotent.
+// the ledger; it is idempotent.
 func (r *Robot) SettleEnergy() { r.accrueEnergy() }
+
+// SettledBattery returns the ledger as SettleEnergy would leave it — the
+// lazily-accrued tail up to the current instant folded in — without
+// touching the robot: the same arithmetic, applied to a copy. End-of-run
+// reporting reads it, so reporting leaves no trace in the robot's state
+// and a snapshot taken afterwards still replays. The zero Battery when the
+// layer is off.
+func (r *Robot) SettledBattery() energy.Battery {
+	if r.bat == nil {
+		return energy.Battery{}
+	}
+	b := *r.bat
+	if !r.died && !r.failed {
+		r.accrueTail(&b)
+	}
+	return b
+}
 
 // nearlyFull reports a state of charge above batteryFullFrac.
 func (r *Robot) nearlyFull() bool {

@@ -314,6 +314,9 @@ func (r *Robot) dispatchAsManager(rep wire.FailureReport) {
 		Manager: r.id, ManagerLoc: r.Pos(),
 	}
 	r.outstanding[rep.Failed] = &outDispatch{req: req, robot: target, lastSent: now, attempts: 1}
+	if r.hooks.OnRequestIssued != nil {
+		r.hooks.OnRequestIssued(req, target)
+	}
 	r.router.Originate(netstack.Packet{
 		Dst:      target,
 		DstLoc:   r.peers[target].loc,

@@ -105,6 +105,10 @@ type Hooks struct {
 	// OnTakeover fires when this robot assumes the manager role after
 	// detecting the manager's death.
 	OnTakeover func(r *Robot)
+	// OnRequestIssued fires when this robot, acting as manager after a
+	// takeover, dispatches a repair request to another robot (a report it
+	// keeps for itself issues no request).
+	OnRequestIssued func(req wire.RepairRequest, to radio.NodeID)
 	// OnRedispatch fires when this robot, acting as manager, re-issues an
 	// outstanding repair request to another robot.
 	OnRedispatch func(req wire.RepairRequest, to radio.NodeID, attempt int)

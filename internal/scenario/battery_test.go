@@ -287,3 +287,36 @@ func TestBatteryCheckpointRestore(t *testing.T) {
 		t.Error("restored battery run trace diverged")
 	}
 }
+
+// TestBatterySnapshotAfterRunRestores: end-of-run reporting reads the
+// energy ledgers without settling them into the robots, so a snapshot
+// taken after Run still matches a replay to the horizon and restores, and
+// the restored world reports the same results.
+func TestBatterySnapshotAfterRunRestores(t *testing.T) {
+	cfg := batteryTestConfig(5)
+	cfg.SimTime = 1500
+	cfg.Battery = &BatteryConfig{CapacityJ: 30000, RechargeW: 250}
+	w, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := resultsJSON(t, w.Run())
+	snap, err := w.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := checkpoint.Encode(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, err = checkpoint.Decode(blob); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restore(snap)
+	if err != nil {
+		t.Fatalf("restore of a post-Run snapshot: %v", err)
+	}
+	if got := resultsJSON(t, restored.Run()); got != want {
+		t.Errorf("restored world reports different results:\n got %s\nwant %s", got, want)
+	}
+}

@@ -30,8 +30,7 @@ func (w *World) finalizeInvariants() {
 	}
 	if w.Cfg.Battery != nil {
 		for _, r := range w.Robots {
-			r.SettleEnergy()
-			b := r.Battery()
+			b := r.SettledBattery()
 			w.inv.RobotEnergy(r.ID(), b.CapacityJ, b.SpentJ, b.RemainingJ, b.RechargedJ, r.Traveled())
 		}
 	}

@@ -293,3 +293,52 @@ func TestCentralizedManagerFailover(t *testing.T) {
 		t.Error("manager crash recovery time not measured")
 	}
 }
+
+// TestSuccessorManagerRequestsCounted: the robot that takes the manager
+// role over after a crash dispatches repair requests of its own, and
+// Results.RequestsIssued counts them as it counts the static manager's —
+// every dispatch in the trace, before and after the takeover.
+func TestSuccessorManagerRequestsCounted(t *testing.T) {
+	plan, err := chaos.Parse("mgr@2000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := relConfig(core.Centralized)
+	cfg.Faults = plan
+	cfg.TraceCapacity = -1
+	w, err := scenario.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := w.Run()
+	if res.ManagerTakeovers == 0 {
+		t.Fatal("manager crash triggered no takeover")
+	}
+	var takeoverAt sim.Time = -1
+	var dispatches, after int
+	for _, ev := range w.Trace.Events() {
+		switch ev.Kind {
+		case trace.KindTakeover:
+			if takeoverAt < 0 {
+				takeoverAt = ev.At
+			}
+		case trace.KindDispatch:
+			dispatches++
+			if takeoverAt >= 0 {
+				after++
+			}
+		}
+	}
+	if after == 0 {
+		t.Fatal("no dispatches traced after the takeover")
+	}
+	if res.RequestsIssued != dispatches {
+		t.Errorf("RequestsIssued = %d, trace holds %d dispatches", res.RequestsIssued, dispatches)
+	}
+	if res.RequestsDelivered > res.RequestsIssued+res.Redispatches {
+		t.Errorf("%d requests delivered, only %d issued and %d re-issued",
+			res.RequestsDelivered, res.RequestsIssued, res.Redispatches)
+	}
+	t.Logf("issued %d (%d after the takeover at t=%.0f), re-issued %d, delivered %d",
+		res.RequestsIssued, after, float64(takeoverAt), res.Redispatches, res.RequestsDelivered)
+}

@@ -230,20 +230,8 @@ func New(cfg Config) (*World, error) {
 					Node: rep.Failed, Actor: managerID, Loc: rep.Loc,
 				})
 			},
-			OnRequestIssued: func(req wire.RepairRequest, to radio.NodeID) {
-				w.requestsIssued++
-				w.trace(trace.Event{
-					At: sched.Now(), Kind: trace.KindDispatch,
-					Node: req.Failed, Actor: to, Loc: req.Loc,
-				})
-			},
-			OnRedispatch: func(req wire.RepairRequest, to radio.NodeID, _ int) {
-				w.redispatches++
-				w.trace(trace.Event{
-					At: sched.Now(), Kind: trace.KindRedispatch,
-					Node: req.Failed, Actor: to, Loc: req.Loc,
-				})
-			},
+			OnRequestIssued: w.requestIssued,
+			OnRedispatch:    w.requestRedispatched,
 		},
 		RelEnabled: rel.Enabled,
 		Facility: algorithm.FacilityParams{
@@ -385,13 +373,8 @@ func New(cfg Config) (*World, error) {
 				reg.Observe(metrics.SeriesFaultRecovery, float64(sched.Now().Sub(w.managerCrashAt)))
 			}
 		},
-		OnRedispatch: func(req wire.RepairRequest, to radio.NodeID, _ int) {
-			w.redispatches++
-			w.trace(trace.Event{
-				At: sched.Now(), Kind: trace.KindRedispatch,
-				Node: req.Failed, Actor: to, Loc: req.Loc,
-			})
-		},
+		OnRequestIssued: w.requestIssued,
+		OnRedispatch:    w.requestRedispatched,
 	}
 	if w.inv != nil {
 		robotHooks.OnMove = func(r *robot.Robot, from geom.Point, fromAt sim.Time, to geom.Point) {
@@ -760,6 +743,26 @@ func (w *World) spawnReplacement(r *robot.Robot, loc geom.Point) radio.NodeID {
 	return s.ID()
 }
 
+// requestIssued counts and traces a repair request dispatched by the
+// central manager or by a robot that took the manager role over.
+func (w *World) requestIssued(req wire.RepairRequest, to radio.NodeID) {
+	w.requestsIssued++
+	w.trace(trace.Event{
+		At: w.Sched.Now(), Kind: trace.KindDispatch,
+		Node: req.Failed, Actor: to, Loc: req.Loc,
+	})
+}
+
+// requestRedispatched counts and traces a repair request re-issued after
+// its robot died or never acknowledged it.
+func (w *World) requestRedispatched(req wire.RepairRequest, to radio.NodeID, _ int) {
+	w.redispatches++
+	w.trace(trace.Event{
+		At: w.Sched.Now(), Kind: trace.KindRedispatch,
+		Node: req.Failed, Actor: to, Loc: req.Loc,
+	})
+}
+
 // Run executes the simulation to the configured horizon and returns the
 // collected results.
 func (w *World) Run() Results {
@@ -828,8 +831,7 @@ func (w *World) results() Results {
 	if w.Cfg.Battery != nil {
 		res.RobotEnergy = make([]RobotPower, 0, len(w.Robots))
 		for _, r := range w.Robots {
-			r.SettleEnergy() // fold the lazily-accrued tail in (idempotent)
-			b := r.Battery()
+			b := r.SettledBattery() // the lazily-accrued tail folded in, read-only
 			rp := RobotPower{
 				Robot:      int(r.ID()),
 				SpentJ:     b.SpentJ,
