@@ -85,17 +85,18 @@ invariant-smoke:
 	$(GO) run ./cmd/invck -seeds 2 -simtime 4000
 
 # Checkpoint/restore gate: the differential test snapshots a mid-flight
-# run under every algorithm × kernel combination, round-trips it through
-# the binary format, restores, and requires the continuation to be
-# bit-identical to an uninterrupted run (results JSON and trace events).
+# run under every algorithm, plus one with MAC contention, round-trips it
+# through the binary format, restores, and requires the continuation to
+# be bit-identical to an uninterrupted run (results JSON and trace
+# events).
 # The journal test proves a SIGKILLed sweep resumes to a byte-identical
 # CSV.
 checkpoint-smoke:
 	$(GO) test -run 'TestCheckpointRestoreDifferential|TestRestoreRejectsTamperedSnapshot' ./internal/scenario
 	$(GO) test -run 'TestSweepKillMinusNineResume' ./cmd/sweep
 
-# Cross-algorithm conformance gate: every registered algorithm × both
-# queue kernels must satisfy the registry contract — serial-vs-pool
+# Cross-algorithm conformance gate: every registered algorithm must
+# satisfy the registry contract — serial-vs-pool
 # determinism, snapshot→restore→continue bit-identity, zero invariant
 # violations under the burst/blackout/corrupt chaos plans, and
 # observability-off-is-absent. A newly registered algorithm is covered
@@ -132,8 +133,9 @@ energy-smoke:
 # The chaos target guards the fault-plan DSL round trip, the wire targets
 # the binary codec's canonical-form property and the frame decoder's
 # never-panic/never-wrongly-accept property under arbitrary mutation, and
-# the kernel target drives the ladder and heap schedulers through random
-# op sequences asserting identical fire traces. The snapshot and ftdc
+# the kernel target drives the ladder scheduler and the test-side
+# reference heap through random op sequences asserting identical fire
+# traces. The snapshot and ftdc
 # targets mutate encoded checkpoints/recordings asserting the decoders
 # never panic and anything they accept re-encodes canonically.
 fuzz-smoke:

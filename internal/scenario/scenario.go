@@ -140,11 +140,6 @@ type Config struct {
 	// layer entirely and reproduces the unchecked simulator's behavior and
 	// allocations bit-for-bit.
 	Invariants invariant.Config `json:"invariants,omitempty"`
-	// Kernel selects the event-queue implementation: "" or "ladder" for
-	// the default ladder queue, "heap" for the binary heap it replaced.
-	// The two produce bit-identical runs (see DESIGN.md §12); the switch
-	// exists for differential testing and perf comparison.
-	Kernel string `json:"kernel,omitempty"`
 	// FacilityObjective selects the facility-location family's placement
 	// objective: "kmedian" (default) or "kcenter". Ignored by the other
 	// algorithms; omitted from JSON when unset so legacy config hashes
@@ -294,6 +289,9 @@ func (c Config) Validate() error {
 	if err := facility.Validate(); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
+	if err := c.checkFinite(); err != nil {
+		return err
+	}
 	switch {
 	case c.Robots <= 0:
 		return fmt.Errorf("scenario: robots = %d, need ≥ 1", c.Robots)
@@ -321,16 +319,13 @@ func (c Config) Validate() error {
 		c.Reliability.DispatchAckTimeoutS < 0:
 		return fmt.Errorf("scenario: reliability durations must be non-negative")
 	}
-	if _, err := sim.ParseKernel(c.Kernel); err != nil {
-		return fmt.Errorf("scenario: %w", err)
-	}
 	if b := c.Battery; b != nil {
 		switch {
-		case !(b.CapacityJ > 0) || math.IsInf(b.CapacityJ, 0):
-			return fmt.Errorf("scenario: battery capacity %v not a positive finite joule count", b.CapacityJ)
-		case b.RechargeW < 0 || math.IsNaN(b.RechargeW):
+		case b.CapacityJ <= 0:
+			return fmt.Errorf("scenario: battery capacity %v not positive", b.CapacityJ)
+		case b.RechargeW < 0:
 			return fmt.Errorf("scenario: recharge power %v negative", b.RechargeW)
-		case b.ReserveJ < 0 || math.IsNaN(b.ReserveJ):
+		case b.ReserveJ < 0:
 			return fmt.Errorf("scenario: battery reserve %v negative", b.ReserveJ)
 		case b.IdlePowerW < 0 || b.MotionBaseW < 0 || b.MotionPerSpeedW < 0:
 			return fmt.Errorf("scenario: battery power-model terms must be non-negative")
@@ -347,6 +342,55 @@ func (c Config) Validate() error {
 	}
 	if err := c.Invariants.Validate(); err != nil {
 		return fmt.Errorf("scenario: %w", err)
+	}
+	return nil
+}
+
+// checkFinite rejects NaN and ±Inf in every float field of the
+// configuration, its Reliability and its Battery. The sign and range
+// checks in Validate compare with <, <= and >=, which NaN passes, so this
+// check runs first.
+func (c Config) checkFinite() error {
+	type field struct {
+		name string
+		v    float64
+	}
+	fields := []field{
+		{"area side", c.AreaPerRobotSide},
+		{"sensor range", c.SensorRange},
+		{"robot range", c.RobotRange},
+		{"robot speed", c.RobotSpeed},
+		{"update threshold", c.UpdateThreshold},
+		{"beacon period", c.BeaconPeriod},
+		{"mean lifetime", c.MeanLifetime},
+		{"sim time", c.SimTime},
+		{"service time", c.ServiceTime},
+		{"loss probability", c.LossP},
+		{"lifetime shape", c.LifetimeShape},
+		{"sensing range", c.SensingRange},
+		{"coverage sample period", c.CoverageSamplePeriod},
+		{"bitrate", c.BitrateMbps},
+		{"robot failure time", c.RobotFailureTime},
+		{"facility period", c.FacilityPeriodS},
+		{"report retry", c.Reliability.ReportRetryS},
+		{"report retry cap", c.Reliability.ReportRetryMaxS},
+		{"heartbeat period", c.Reliability.HeartbeatS},
+		{"dispatch ack timeout", c.Reliability.DispatchAckTimeoutS},
+		{"watch grace", c.Reliability.WatchGraceS},
+	}
+	if b := c.Battery; b != nil {
+		fields = append(fields,
+			field{"battery capacity", b.CapacityJ},
+			field{"recharge power", b.RechargeW},
+			field{"battery reserve", b.ReserveJ},
+			field{"idle power", b.IdlePowerW},
+			field{"motion base power", b.MotionBaseW},
+			field{"motion per-speed power", b.MotionPerSpeedW})
+	}
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("scenario: %s %v not finite", f.name, f.v)
+		}
 	}
 	return nil
 }

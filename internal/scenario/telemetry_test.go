@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"roborepair/internal/core"
@@ -171,13 +172,15 @@ func TestTelemetryPrometheusExport(t *testing.T) {
 	}
 }
 
-// TestTelemetryConfigValidation rejects a negative cadence via the
+// TestTelemetryConfigValidation rejects a negative or NaN cadence via the
 // scenario-level Validate.
 func TestTelemetryConfigValidation(t *testing.T) {
-	cfg := telTestConfig(1)
-	cfg.Telemetry.Enabled = true
-	cfg.Telemetry.SamplePeriodS = -5
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("negative sample period accepted")
+	for _, period := range []float64{-5, math.NaN()} {
+		cfg := telTestConfig(1)
+		cfg.Telemetry.Enabled = true
+		cfg.Telemetry.SamplePeriodS = period
+		if _, err := Run(cfg); err == nil {
+			t.Fatalf("sample period %v accepted", period)
+		}
 	}
 }

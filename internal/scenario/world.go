@@ -99,11 +99,7 @@ func New(cfg Config) (*World, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	kernel, err := sim.ParseKernel(cfg.Kernel)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	sched := sim.NewSchedulerKernel(kernel)
+	sched := sim.NewScheduler()
 	reg := metrics.NewRegistry()
 	w := &World{
 		Cfg:            cfg,

@@ -70,6 +70,16 @@ func TestConfigValidate(t *testing.T) {
 		{"zero sim time", func(c *Config) { c.SimTime = 0 }},
 		{"loss ≥ 1", func(c *Config) { c.LossP = 1 }},
 		{"negative loss", func(c *Config) { c.LossP = -0.1 }},
+		{"NaN sim time", func(c *Config) { c.SimTime = math.NaN() }},
+		{"+Inf sim time", func(c *Config) { c.SimTime = math.Inf(1) }},
+		{"NaN lifetime", func(c *Config) { c.MeanLifetime = math.NaN() }},
+		{"NaN loss", func(c *Config) { c.LossP = math.NaN() }},
+		{"+Inf speed", func(c *Config) { c.RobotSpeed = math.Inf(1) }},
+		{"NaN service time", func(c *Config) { c.ServiceTime = math.NaN() }},
+		{"NaN report retry", func(c *Config) { c.Reliability.ReportRetryS = math.NaN() }},
+		{"+Inf battery idle power", func(c *Config) {
+			c.Battery = &BatteryConfig{CapacityJ: 1e5, IdlePowerW: math.Inf(1)}
+		}},
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -44,8 +45,7 @@ func (tr *kernelTrace) equal(o *kernelTrace) bool {
 // and ticker reschedule-on-fire, then drains it. The PRNG draw sequence is
 // independent of kernel behavior, so two kernels see the same operations
 // and any trace divergence is an ordering bug.
-func runKernelWorkload(kn Kernel, seed uint64, nops int) *kernelTrace {
-	s := NewSchedulerKernel(kn)
+func runKernelWorkload(s *Scheduler, seed uint64, nops int) *kernelTrace {
 	rng := xorshift64(seed | 1)
 	tr := &kernelTrace{}
 	var handles []Event
@@ -98,13 +98,13 @@ func runKernelWorkload(kn Kernel, seed uint64, nops int) *kernelTrace {
 	return tr
 }
 
-// TestKernelDifferential locks the ladder to the heap: over randomized
-// workloads both kernels must fire the exact same callbacks at the exact
-// same clock readings in the exact same order.
+// TestKernelDifferential locks the ladder to the reference heap: over
+// randomized workloads both kernels must fire the exact same callbacks at
+// the exact same clock readings in the exact same order.
 func TestKernelDifferential(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
-		heapTr := runKernelWorkload(KernelHeap, seed, 400)
-		ladTr := runKernelWorkload(KernelLadder, seed, 400)
+		heapTr := runKernelWorkload(newHeapScheduler(), seed, 400)
+		ladTr := runKernelWorkload(NewScheduler(), seed, 400)
 		if !heapTr.equal(ladTr) {
 			i := 0
 			for i < len(heapTr.labels) && i < len(ladTr.labels) &&
@@ -117,10 +117,66 @@ func TestKernelDifferential(t *testing.T) {
 	}
 }
 
+// runChurnWorkload holds a deep standing population while scheduling one
+// event and firing one per step, the regime of a long simulation: rungs
+// are spawned, drained and recycled many times over, new events land
+// inside live rungs, and cancels hit every tier. Besides the fire trace it
+// returns a SnapshotState taken every 1000 steps.
+func runChurnWorkload(s *Scheduler, seed uint64) (*kernelTrace, []KernelState) {
+	rng := xorshift64(seed | 1)
+	tr := &kernelTrace{}
+	var handles []Event
+	label := 0
+	schedule := func(d Duration) {
+		l := label
+		label++
+		handles = append(handles, s.After(d, func() {
+			tr.labels = append(tr.labels, l)
+			tr.times = append(tr.times, s.Now())
+		}))
+	}
+	for i := 0; i < 2000; i++ {
+		schedule(Duration(rng.next()%100000) / 100)
+	}
+	var states []KernelState
+	for i := 1; i <= 20000; i++ {
+		schedule(Duration(rng.next()%10000) / 100)
+		if rng.next()%4 == 0 {
+			s.Cancel(handles[rng.next()%uint64(len(handles))])
+		}
+		s.Step()
+		if i%1000 == 0 {
+			states = append(states, s.SnapshotState())
+		}
+	}
+	s.RunAll()
+	tr.fired = s.Fired()
+	tr.now = s.Now()
+	return tr, states
+}
+
+// TestKernelDifferentialChurn locks the ladder to the reference heap over
+// long schedule-one/fire-one runs: identical fire traces, and identical
+// checkpoint state (clock, counters, high-water mark, pending stamps) at
+// every sampled step.
+func TestKernelDifferentialChurn(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		heapTr, heapStates := runChurnWorkload(newHeapScheduler(), seed)
+		ladTr, ladStates := runChurnWorkload(NewScheduler(), seed)
+		if !heapTr.equal(ladTr) {
+			t.Fatalf("seed %d: fire traces diverge (heap fired %d, ladder %d)", seed, heapTr.fired, ladTr.fired)
+		}
+		for i := range heapStates {
+			if !reflect.DeepEqual(heapStates[i], ladStates[i]) {
+				t.Fatalf("seed %d: SnapshotState diverges at sample %d", seed, i)
+			}
+		}
+	}
+}
+
 // applyKernelOps drives a scheduler with an op stream decoded from raw
 // bytes — the fuzz-facing twin of runKernelWorkload.
-func applyKernelOps(kn Kernel, data []byte) *kernelTrace {
-	s := NewSchedulerKernel(kn)
+func applyKernelOps(s *Scheduler, data []byte) *kernelTrace {
 	tr := &kernelTrace{}
 	var handles []Event
 	label := 0
@@ -172,9 +228,9 @@ func applyKernelOps(kn Kernel, data []byte) *kernelTrace {
 	return tr
 }
 
-// FuzzKernelOps feeds arbitrary op streams to both kernels and requires
-// identical traces. `go test -fuzz=FuzzKernelOps ./internal/sim` explores;
-// the corpus below seeds the interesting shapes.
+// FuzzKernelOps feeds arbitrary op streams to the ladder and the reference
+// heap and requires identical traces. `go test -fuzz=FuzzKernelOps
+// ./internal/sim` explores; the corpus below seeds the interesting shapes.
 func FuzzKernelOps(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 10, 5, 0, 4, 0, 2, 7, 6, 50})
 	f.Add([]byte{7, 9, 2, 0, 3, 0, 5, 0, 5, 0, 6, 255})
@@ -183,8 +239,8 @@ func FuzzKernelOps(f *testing.F) {
 		if len(data) > 1024 {
 			data = data[:1024]
 		}
-		heapTr := applyKernelOps(KernelHeap, data)
-		ladTr := applyKernelOps(KernelLadder, data)
+		heapTr := applyKernelOps(newHeapScheduler(), data)
+		ladTr := applyKernelOps(NewScheduler(), data)
 		if !heapTr.equal(ladTr) {
 			t.Fatalf("kernels diverge: heap fired %d (now %v), ladder fired %d (now %v)",
 				heapTr.fired, heapTr.now, ladTr.fired, ladTr.now)
@@ -251,33 +307,10 @@ func TestLadderCancelHeavy(t *testing.T) {
 	}
 }
 
-// TestKernelParse round-trips the kernel names.
-func TestKernelParse(t *testing.T) {
-	for _, tt := range []struct {
-		in   string
-		want Kernel
-		ok   bool
-	}{
-		{"", KernelLadder, true},
-		{"ladder", KernelLadder, true},
-		{"heap", KernelHeap, true},
-		{"splay", KernelLadder, false},
-	} {
-		got, err := ParseKernel(tt.in)
-		if (err == nil) != tt.ok || got != tt.want {
-			t.Fatalf("ParseKernel(%q) = %v, %v", tt.in, got, err)
-		}
-	}
-	if KernelLadder.String() != "ladder" || KernelHeap.String() != "heap" {
-		t.Fatal("Kernel.String names wrong")
-	}
-}
-
 // benchSchedulerHotLoop measures the steady-state schedule-one/fire-one
 // cycle against a deep standing population — the regime a large field puts
 // the kernel in (every sensor holds a pending beacon timer).
-func benchSchedulerHotLoop(b *testing.B, kn Kernel) {
-	s := NewSchedulerKernel(kn)
+func benchSchedulerHotLoop(b *testing.B, s *Scheduler) {
 	rng := xorshift64(12345)
 	fn := func() {}
 	const standing = 1 << 16
@@ -292,5 +325,5 @@ func benchSchedulerHotLoop(b *testing.B, kn Kernel) {
 	}
 }
 
-func BenchmarkSchedulerHotLoop(b *testing.B)     { benchSchedulerHotLoop(b, KernelLadder) }
-func BenchmarkSchedulerHotLoopHeap(b *testing.B) { benchSchedulerHotLoop(b, KernelHeap) }
+func BenchmarkSchedulerHotLoop(b *testing.B)     { benchSchedulerHotLoop(b, NewScheduler()) }
+func BenchmarkSchedulerHotLoopHeap(b *testing.B) { benchSchedulerHotLoop(b, newHeapScheduler()) }

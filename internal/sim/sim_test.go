@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -93,6 +94,31 @@ func TestSchedulerAtRejectsPast(t *testing.T) {
 	s.RunAll()
 	if _, err := s.At(5, func() {}); !errors.Is(err, ErrTimeInPast) {
 		t.Fatalf("At(past) error = %v, want ErrTimeInPast", err)
+	}
+}
+
+// TestSchedulerAtRejectsNaN: a NaN timestamp compares false against
+// everything, so admitting one would break the (at, seq) order of the
+// events around it. At refuses it and the rest still fire in time order.
+func TestSchedulerAtRejectsNaN(t *testing.T) {
+	s := NewScheduler()
+	var fired []Time
+	for _, at := range []Time{5, Time(math.NaN()), 1, 10} {
+		_, err := s.At(at, func() { fired = append(fired, s.Now()) })
+		if math.IsNaN(float64(at)) {
+			if !errors.Is(err, ErrTimeInPast) {
+				t.Fatalf("At(NaN) error = %v, want ErrTimeInPast", err)
+			}
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Run(100)
+	if want := []Time{1, 5, 10}; !slices.Equal(fired, want) {
+		t.Fatalf("fired at %v, want %v", fired, want)
+	}
+	if s.Now() != 100 {
+		t.Fatalf("clock = %v, want 100", s.Now())
 	}
 }
 
@@ -307,6 +333,9 @@ func TestTickerRejectsNonPositivePeriod(t *testing.T) {
 	}
 	if _, err := s.NewTicker(0, -1, func() {}); err == nil {
 		t.Fatal("NewTicker(period=-1) should fail")
+	}
+	if _, err := s.NewTicker(0, Duration(math.NaN()), func() {}); err == nil {
+		t.Fatal("NewTicker(period=NaN) should fail")
 	}
 }
 
