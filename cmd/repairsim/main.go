@@ -219,7 +219,7 @@ func run(args []string) error {
 			res.EnergySpentJ, res.RobotDeaths, res.Recharges, res.TaskHandoffs)
 	}
 	if *telemetryOn {
-		fmt.Print(res.Telemetry.Summary())
+		fmt.Print(res.Telemetry.Summary(res.Registry))
 	}
 	if *verbose {
 		fmt.Print(res.Registry.Dump())

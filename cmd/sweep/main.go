@@ -291,16 +291,15 @@ func writeTimeSeries(path, param string, results []runner.Result) error {
 		if r.Err != nil || r.Res.Telemetry == nil {
 			continue
 		}
-		sp := r.Res.Telemetry.Sampler()
 		if !wroteHeader {
-			if err := telemetry.WriteTimeSeriesHeader(f, sp, "algorithm,param,value,seed,"); err != nil {
+			if err := telemetry.WriteTimeSeriesHeader(f, r.Res.Telemetry, "algorithm,param,value,seed,"); err != nil {
 				return err
 			}
 			wroteHeader = true
 		}
 		prefix := fmt.Sprintf("%s,%s,%g,%d,",
 			r.Job.Config.Algorithm, param, r.Job.Tag.(cell).value, r.Job.Config.Seed)
-		if err := telemetry.WriteTimeSeriesRows(f, sp, prefix); err != nil {
+		if err := telemetry.WriteTimeSeriesRows(f, r.Res.Telemetry, prefix); err != nil {
 			return err
 		}
 	}

@@ -27,14 +27,17 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "telemetryck:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run validates the files named in args, reporting each passed check on
+// stdout and warnings on stderr; a failed check is the returned error.
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("telemetryck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	chrome := ""
 	prom := ""
 	csv := ""
@@ -62,13 +65,13 @@ func run(args []string) error {
 		if err := checkFile(c.path, c.check); err != nil {
 			return fmt.Errorf("%s: %w", c.path, err)
 		}
-		fmt.Printf("%s: ok\n", c.path)
+		fmt.Fprintf(stdout, "%s: ok\n", c.path)
 	}
 	if prom != "" {
 		if n, err := promDroppedRows(prom); err != nil {
 			return fmt.Errorf("%s: %w", prom, err)
 		} else if n > 0 {
-			fmt.Fprintf(os.Stderr, "telemetryck: warning: %s reports %d telemetry samples lost to "+
+			fmt.Fprintf(stderr, "telemetryck: warning: %s reports %d telemetry samples lost to "+
 				"ring eviction; the retained time-series window is truncated\n", prom, n)
 		}
 	}

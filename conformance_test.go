@@ -23,6 +23,7 @@ import (
 
 	"roborepair"
 	"roborepair/internal/algorithm"
+	"roborepair/internal/scenario"
 )
 
 // conformanceConfig is the common base: a short horizon with plenty of
@@ -220,6 +221,15 @@ func TestConformanceObservabilityOffIsAbsent(t *testing.T) {
 		if resOff.Violations != nil {
 			t.Error("invariants off but Results.Violations present")
 		}
+		telHists := []string{
+			scenario.TelHistRepairDelay, scenario.TelHistReportHops,
+			scenario.TelHistReportRetx, scenario.TelHistTripMeters,
+		}
+		for _, name := range append(telHists, scenario.TelHistDecodeFail) {
+			if resOff.Registry.Hist(name) != nil {
+				t.Errorf("telemetry off but histogram %s registered", name)
+			}
+		}
 
 		armed := base
 		armed.Invariants.Enabled = true
@@ -232,6 +242,11 @@ func TestConformanceObservabilityOffIsAbsent(t *testing.T) {
 		resOn := wOn.Run()
 		if resOn.Telemetry == nil || resOn.Recording == nil {
 			t.Fatal("observability armed but Results sections missing")
+		}
+		for _, name := range telHists {
+			if resOn.Registry.Hist(name) == nil {
+				t.Errorf("telemetry on but histogram %s missing", name)
+			}
 		}
 		for _, v := range resOn.Violations {
 			t.Errorf("invariant violation in fault-free run: %v", v)

@@ -47,9 +47,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sp := res.Telemetry.Sampler()
-	times := sp.Times()
-	backlog := sp.Series("pending_failures")
+	times := res.Telemetry.Times()
+	backlog := res.Telemetry.Series("pending_failures")
 	peak, peakAt := 0.0, 0.0
 	for i, v := range backlog {
 		if v > peak {
@@ -67,5 +66,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "  t=%5.0f s  %2.0f %s\n", t, backlog[i], bar)
 	}
 	fmt.Fprintln(os.Stderr)
-	fmt.Fprint(os.Stderr, res.Telemetry.Summary())
+	fmt.Fprint(os.Stderr, res.Telemetry.Summary(res.Registry))
 }

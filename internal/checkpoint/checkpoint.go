@@ -39,7 +39,7 @@ import (
 // versions: snapshot state mirrors internal struct layouts, so there is no
 // cross-version compatibility promise — the gate turns skew into a clean
 // error instead of a garbage restore.
-const Version uint16 = 1
+const Version uint16 = 2
 
 // magic identifies a snapshot file ("RoboRepair SNapshot").
 var magic = [4]byte{'R', 'R', 'S', 'N'}
@@ -58,8 +58,8 @@ const (
 	SecManager   SectionID = 6  // central manager state (empty when absent)
 	SecRadio     SectionID = 7  // medium station table: active flags, positions
 	SecChaos     SectionID = 8  // fault-plan dynamic state (corrupter capture ring)
-	SecMetrics   SectionID = 9  // metrics registry counters and accumulators
-	SecTelemetry SectionID = 10 // telemetry histograms and sampler ring positions
+	SecMetrics   SectionID = 9  // metrics registry counters, accumulators and histograms
+	SecTelemetry SectionID = 10 // telemetry sampler ring positions and rows
 	SecFTDC      SectionID = 11 // flight recorder chunks and pending sample tail
 )
 
@@ -330,15 +330,20 @@ func Decode(b []byte) (*Snapshot, error) {
 	return snap, nil
 }
 
-// WriteFile atomically writes the snapshot to path (temp file + rename),
-// so a crash mid-write never leaves a torn snapshot under the final name.
+// WriteFile atomically writes the snapshot to path (see WriteFileAtomic).
 func WriteFile(path string, s *Snapshot) error {
 	b, err := Encode(s)
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	return WriteFileAtomic(path, b)
+}
+
+// WriteFileAtomic writes b to path through a synced temp file in the same
+// directory and a rename, so a crash mid-write never leaves a torn file
+// under the final name.
+func WriteFileAtomic(path string, b []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}

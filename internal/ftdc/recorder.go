@@ -213,7 +213,7 @@ func (r *Recorder) WriteFile(path string) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(path, b)
+	return checkpoint.WriteFileAtomic(path, b)
 }
 
 // AppendState serializes the recorder's dynamic state for the checkpoint

@@ -7,40 +7,66 @@ import (
 	"strings"
 )
 
-// Histogram is a fixed-width-bucket histogram with quantile estimation;
-// used for distributional views the mean hides (e.g. the p99 repair delay
-// under burst backlogs).
+// Histogram is a bucketed histogram with quantile estimation, used for
+// distributional views the mean hides (e.g. the p99 repair delay under
+// burst backlogs). Buckets are a sorted slice of inclusive upper bounds:
+// a sample x lands in the first bucket i with x ≤ UpperBound(i) (the
+// Prometheus `le` rule), so a sample equal to a bound is counted in the
+// bucket that bound closes. Samples above the last bound count as
+// overflow; NaN is dropped.
 type Histogram struct {
-	width    float64
+	bounds   []float64
 	counts   []uint64
 	overflow uint64
 	acc      Accumulator
 }
 
-// NewHistogram returns a histogram with `buckets` buckets of the given
-// width covering [0, width·buckets); larger samples land in overflow.
+// NewHistogram returns a linear histogram: `buckets` buckets of the given
+// width, bucket i closing at (i+1)·width.
 func NewHistogram(width float64, buckets int) *Histogram {
 	if width <= 0 {
 		width = 1
 	}
-	if buckets < 1 {
-		buckets = 1
+	bounds := make([]float64, max(buckets, 1))
+	for i := range bounds {
+		bounds[i] = float64(i+1) * width
 	}
-	return &Histogram{width: width, counts: make([]uint64, buckets)}
+	return newHistogram(bounds)
 }
 
-// Add ingests one sample. Negative samples clamp to the first bucket.
-func (h *Histogram) Add(x float64) {
-	h.acc.Add(x)
-	if x < 0 {
-		x = 0
+// NewDoublingHistogram returns a logarithmic histogram: bucket 0 closes at
+// first and every following bucket doubles the bound, so a handful of
+// buckets span several decades with constant relative error. Bounds are
+// computed by exact float doubling.
+func NewDoublingHistogram(first float64, buckets int) *Histogram {
+	if first <= 0 {
+		first = 1
 	}
-	idx := int(x / h.width)
-	if idx >= len(h.counts) {
-		h.overflow++
+	bounds := make([]float64, max(buckets, 1))
+	for i := range bounds {
+		bounds[i] = first
+		first *= 2
+	}
+	return newHistogram(bounds)
+}
+
+func newHistogram(bounds []float64) *Histogram {
+	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds))}
+}
+
+// Add ingests one sample; negative samples land in bucket 0 and NaN is
+// dropped. Adding to a nil histogram is a no-op, so an absent (disabled)
+// histogram can be fed without a check at the call site.
+func (h *Histogram) Add(x float64) {
+	if h == nil || math.IsNaN(x) {
 		return
 	}
-	h.counts[idx]++
+	h.acc.Add(x)
+	if i := sort.SearchFloat64s(h.bounds, x); i < len(h.counts) {
+		h.counts[i]++
+	} else {
+		h.overflow++
+	}
 }
 
 // N reports the number of samples.
@@ -52,11 +78,24 @@ func (h *Histogram) Mean() float64 { return h.acc.Mean() }
 // Max reports the exact maximum sample.
 func (h *Histogram) Max() float64 { return h.acc.Max() }
 
-// Overflow reports samples beyond the bucketed range.
+// Sum reports the exact sample total.
+func (h *Histogram) Sum() float64 { return h.acc.Sum() }
+
+// Overflow reports samples beyond the last bound.
 func (h *Histogram) Overflow() uint64 { return h.overflow }
 
-// Quantile estimates the q-quantile (0 < q ≤ 1) from the buckets, using
-// the bucket upper edge. Overflowed mass reports the observed maximum.
+// Buckets reports the number of regular (non-overflow) buckets.
+func (h *Histogram) Buckets() int { return len(h.counts) }
+
+// UpperBound reports the inclusive upper bound of bucket i.
+func (h *Histogram) UpperBound(i int) float64 { return h.bounds[i] }
+
+// Count reports the occupancy of bucket i.
+func (h *Histogram) Count(i int) uint64 { return h.counts[i] }
+
+// Quantile estimates the q-quantile (0 < q ≤ 1) as the upper bound of the
+// bucket holding the target rank; overflowed mass reports the observed
+// maximum.
 func (h *Histogram) Quantile(q float64) float64 {
 	n := uint64(h.acc.N())
 	if n == 0 {
@@ -68,15 +107,12 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	target := uint64(math.Ceil(q * float64(n)))
-	if target == 0 {
-		target = 1
-	}
+	target := max(uint64(math.Ceil(q*float64(n))), 1)
 	var cum uint64
 	for i, c := range h.counts {
 		cum += c
 		if cum >= target {
-			return float64(i+1) * h.width
+			return h.bounds[i]
 		}
 	}
 	return h.acc.Max()
@@ -112,17 +148,30 @@ func (h *Histogram) Sparkline() string {
 	return b.String()
 }
 
-// Histogram returns (lazily creating) the named histogram in the
-// registry. Width/buckets apply only at creation.
+// Histogram returns the named histogram, creating a linear one (see
+// NewHistogram) on first use. Width/buckets apply only at creation.
 func (r *Registry) Histogram(name string, width float64, buckets int) *Histogram {
+	if h, ok := r.hists[name]; ok {
+		return h
+	}
+	return r.addHist(name, NewHistogram(width, buckets))
+}
+
+// DoublingHistogram returns the named histogram, creating a doubling one
+// (see NewDoublingHistogram) on first use. First/buckets apply only at
+// creation.
+func (r *Registry) DoublingHistogram(name string, first float64, buckets int) *Histogram {
+	if h, ok := r.hists[name]; ok {
+		return h
+	}
+	return r.addHist(name, NewDoublingHistogram(first, buckets))
+}
+
+func (r *Registry) addHist(name string, h *Histogram) *Histogram {
 	if r.hists == nil {
 		r.hists = make(map[string]*Histogram)
 	}
-	h, ok := r.hists[name]
-	if !ok {
-		h = NewHistogram(width, buckets)
-		r.hists[name] = h
-	}
+	r.hists[name] = h
 	return h
 }
 
@@ -140,15 +189,3 @@ func (r *Registry) HistNames() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Width reports the fixed bucket width.
-func (h *Histogram) Width() float64 { return h.width }
-
-// Buckets reports the number of regular (non-overflow) buckets.
-func (h *Histogram) Buckets() int { return len(h.counts) }
-
-// Count reports the occupancy of bucket i.
-func (h *Histogram) Count(i int) uint64 { return h.counts[i] }
-
-// Sum reports the exact sample total.
-func (h *Histogram) Sum() float64 { return h.acc.Sum() }

@@ -47,10 +47,10 @@ func (r *Registry) AppendState(b []byte) []byte {
 	for _, k := range names {
 		h := r.hists[k]
 		b = checkpoint.AppendString(b, k)
-		b = checkpoint.AppendF64(b, h.width)
-		b = checkpoint.AppendU32(b, uint32(len(h.counts)))
-		for _, c := range h.counts {
-			b = checkpoint.AppendU64(b, c)
+		b = checkpoint.AppendU32(b, uint32(len(h.bounds)))
+		for i, ub := range h.bounds {
+			b = checkpoint.AppendF64(b, ub)
+			b = checkpoint.AppendU64(b, h.counts[i])
 		}
 		b = checkpoint.AppendU64(b, h.overflow)
 		b = appendAccumulator(b, &h.acc)

@@ -479,15 +479,16 @@ type Results struct {
 	EnergySpentJ float64      `json:"energySpentJ,omitempty"`
 	RobotEnergy  []RobotPower `json:"robotEnergy,omitempty"`
 
-	// Registry holds the full per-category accounting.
+	// Registry holds the full per-category accounting and every
+	// histogram, the telemetry ones included when telemetry is on.
 	Registry *metrics.Registry `json:"-"`
 
-	// Telemetry holds the run's collector — histograms and the sampled
-	// time series — when Config.Telemetry is enabled; nil otherwise.
+	// Telemetry holds the run's collector (the sampled time series) when
+	// Config.Telemetry is enabled; nil otherwise.
 	Telemetry *telemetry.Collector `json:"-"`
 
 	// TelemetryDropped counts samples the telemetry ring evicted to make
-	// room (Sampler.Dropped()): the retained CSV window silently starts
+	// room (Collector.Dropped()): the retained CSV window silently starts
 	// that many samples late. Zero when telemetry is off or the ring held
 	// everything; surface it instead of truncating quietly.
 	TelemetryDropped int `json:"telemetryDropped,omitempty"`

@@ -5,8 +5,9 @@ import (
 	"roborepair/internal/telemetry"
 )
 
-// Telemetry histogram names. Chosen to not collide with the registry's
-// Prometheus-exported series and histogram names.
+// Telemetry histogram names, registered in the run's metrics registry
+// only when telemetry is on. Chosen to not collide with the registry's
+// other Prometheus-exported series and histogram names.
 const (
 	// TelHistRepairDelay buckets failure→replacement latency (sim seconds).
 	TelHistRepairDelay = "repair_delay_seconds"
@@ -48,26 +49,28 @@ const (
 	GaugeBatteryMinJ = "battery_min_j"
 )
 
-// startTelemetry builds the collector, registers the standard histograms
-// and gauges, and arms the sampler. Called from New only when
-// Config.Telemetry.Enabled — with telemetry off, World.Telemetry stays nil
-// and every hook feed reduces to one nil check.
+// startTelemetry registers the standard histograms in the run's registry,
+// builds the collector, registers the gauges, and arms the sampler. Called
+// from New only when Config.Telemetry.Enabled — with telemetry off the
+// histograms do not exist, World.Telemetry stays nil, and every hook feed
+// is an Add on a nil histogram, which does nothing.
 func (w *World) startTelemetry() error {
 	c := telemetry.NewCollector(w.Cfg.Telemetry)
 	w.Telemetry = c
 
-	// Histograms fed by the lifecycle hooks in New. First-bucket widths and
+	// Histograms fed by the lifecycle hooks in New. First-bucket bounds and
 	// counts size each to the quantity's plausible range: repair delay
 	// 0..8 s through km-scale backlogs, hops and retx small integers, trips
 	// a few meters through field diagonals.
-	w.telRepairDelay = c.LogHistogram(TelHistRepairDelay, 8, 16)
-	w.telReportHops = c.LogHistogram(TelHistReportHops, 1, 8)
-	w.telReportRetx = c.LogHistogram(TelHistReportRetx, 1, 8)
-	w.telTrip = c.LogHistogram(TelHistTripMeters, 4, 16)
+	reg := w.Registry
+	w.telRepairDelay = reg.DoublingHistogram(TelHistRepairDelay, 8, 16)
+	w.telReportHops = reg.DoublingHistogram(TelHistReportHops, 1, 8)
+	w.telReportRetx = reg.DoublingHistogram(TelHistReportRetx, 1, 8)
+	w.telTrip = reg.DoublingHistogram(TelHistTripMeters, 4, 16)
 	if w.hostile {
-		// Log buckets over sim time: 0..64 s in the first, the paper's full
-		// 64000 s horizon inside the last.
-		decode := c.LogHistogram(TelHistDecodeFail, 64, 12)
+		// Doubling buckets over sim time: 0..64 s in the first, the paper's
+		// full 64000 s horizon inside the last.
+		decode := reg.DoublingHistogram(TelHistDecodeFail, 64, 12)
 		w.Medium.SetChannelDropHook(func(radio.Frame) {
 			decode.Add(float64(w.Sched.Now()))
 		})

@@ -101,27 +101,27 @@ func TestTelemetryHistogramsPopulated(t *testing.T) {
 	if res.Repairs == 0 {
 		t.Fatal("run produced no repairs; pick a harsher config")
 	}
-	c := res.Telemetry
+	reg := res.Registry
 	for _, name := range []string{TelHistRepairDelay, TelHistReportHops, TelHistTripMeters} {
-		h := c.Hist(name)
+		h := reg.Hist(name)
 		if h == nil || h.N() == 0 {
 			t.Fatalf("histogram %s empty", name)
 		}
 	}
-	if got, want := int(c.Hist(TelHistRepairDelay).N()), res.Repairs; got != want {
+	if got, want := reg.Hist(TelHistRepairDelay).N(), res.Repairs; got != want {
 		t.Fatalf("repair delay observations = %d, repairs = %d", got, want)
 	}
-	if c.Hist(TelHistReportRetx).N() != 0 {
+	if reg.Hist(TelHistReportRetx).N() != 0 {
 		t.Fatal("retx histogram fed without the reliability protocol")
 	}
-	sp := c.Sampler()
-	if sp.Len() == 0 {
+	c := res.Telemetry
+	if c.Len() == 0 {
 		t.Fatal("sampler recorded nothing")
 	}
-	if sp.MaxOf(GaugeEventQueueDepth) == 0 {
+	if c.MaxOf(GaugeEventQueueDepth) == 0 {
 		t.Fatal("event queue depth never sampled above zero")
 	}
-	if sp.MaxOf(GaugeEventsPerSimSec) == 0 {
+	if c.MaxOf(GaugeEventsPerSimSec) == 0 {
 		t.Fatal("event rate never sampled above zero")
 	}
 }

@@ -68,12 +68,12 @@ type World struct {
 	dupRepair      bool                          // spawnReplacement→OnTaskDone handshake for the current repair
 	dupRepairs     int
 
-	// Telemetry histogram feeds; nil when telemetry is disabled, so the
-	// hooks pay one nil check.
-	telRepairDelay *telemetry.LogHistogram
-	telReportHops  *telemetry.LogHistogram
-	telReportRetx  *telemetry.LogHistogram
-	telTrip        *telemetry.LogHistogram
+	// Telemetry histogram feeds; nil when telemetry is disabled, and an
+	// Add on a nil histogram does nothing.
+	telRepairDelay *metrics.Histogram
+	telReportHops  *metrics.Histogram
+	telReportRetx  *metrics.Histogram
+	telTrip        *metrics.Histogram
 
 	// inv is the conservation-law checker; nil when Config.Invariants is
 	// disabled, so the hooks pay one nil check.
@@ -218,9 +218,7 @@ func New(cfg Config) (*World, error) {
 			OnReportReceived: func(rep wire.FailureReport, hops int) {
 				w.reportsDelivered++
 				reg.Observe(metrics.SeriesReportHops, float64(hops))
-				if w.telReportHops != nil {
-					w.telReportHops.Add(float64(hops))
-				}
+				w.telReportHops.Add(float64(hops))
 				w.trace(trace.Event{
 					At: sched.Now(), Kind: trace.KindReportDelivered,
 					Node: rep.Failed, Actor: managerID, Loc: rep.Loc,
@@ -285,10 +283,8 @@ func New(cfg Config) (*World, error) {
 	robotHooks := robot.Hooks{
 		SpawnReplacement: w.spawnReplacement,
 		OnTaskDone: func(r *robot.Robot, t robot.Task, dist float64, delay sim.Duration) {
-			if w.telTrip != nil {
-				// The trip was driven whether or not a node got replaced.
-				w.telTrip.Add(dist)
-			}
+			// The trip was driven whether or not a node got replaced.
+			w.telTrip.Add(dist)
 			if w.dupRepair {
 				// The site was already repaired by another robot (duplicate
 				// reports can cross dispatcher boundaries under faults):
@@ -303,9 +299,7 @@ func New(cfg Config) (*World, error) {
 			// 30 s buckets cover 0..2 h of repair delay; the tail beyond
 			// that reports exactly via overflow.
 			reg.Histogram(HistRepairDelay, 30, 240).Add(float64(delay))
-			if w.telRepairDelay != nil {
-				w.telRepairDelay.Add(float64(delay))
-			}
+			w.telRepairDelay.Add(float64(delay))
 			if at, ok := w.requeuedAt[t.Failed]; ok {
 				delete(w.requeuedAt, t.Failed)
 				reg.Observe(metrics.SeriesFaultRecovery, float64(sched.Now().Sub(at)))
@@ -318,9 +312,7 @@ func New(cfg Config) (*World, error) {
 		OnReportReceived: func(rep wire.FailureReport, hops int) {
 			w.reportsDelivered++
 			reg.Observe(metrics.SeriesReportHops, float64(hops))
-			if w.telReportHops != nil {
-				w.telReportHops.Add(float64(hops))
-			}
+			w.telReportHops.Add(float64(hops))
 			w.trace(trace.Event{
 				At: sched.Now(), Kind: trace.KindReportDelivered,
 				Node: rep.Failed, Loc: rep.Loc,
@@ -668,9 +660,7 @@ func (w *World) spawnSensor(pos geom.Point, jitter *rng.Source, replacement bool
 			if w.inv != nil && rep.Seq > 0 {
 				w.inv.ReportRetx(rep.Reporter, rep.Seq)
 			}
-			if w.telReportRetx != nil {
-				w.telReportRetx.Add(float64(attempt))
-			}
+			w.telReportRetx.Add(float64(attempt))
 			w.trace(trace.Event{
 				At: w.Sched.Now(), Kind: trace.KindReportRetx,
 				Node: rep.Failed, Actor: rep.Reporter, Loc: rep.Loc,
@@ -851,7 +841,7 @@ func (w *World) results() Results {
 		res.Violations = w.inv.Violations()
 	}
 	if w.Telemetry != nil {
-		res.TelemetryDropped = w.Telemetry.Sampler().Dropped()
+		res.TelemetryDropped = w.Telemetry.Dropped()
 	}
 	res.Recording = w.Recorder
 	return res

@@ -24,7 +24,7 @@ type ChromeOptions struct {
 	// 1000 renders one sim second as one trace millisecond, so a 64000 s
 	// run spans a comfortable 64 s of trace time in Perfetto.
 	TimeScale float64
-	// Collector, when non-nil, adds the sampler's gauges as counter
+	// Collector, when non-nil, adds its sampled gauges as counter
 	// tracks.
 	Collector *Collector
 	// ManagerID labels the centralized manager's lane (0 when the run has
@@ -205,10 +205,9 @@ func WriteChromeTrace(w io.Writer, log *trace.Log, opt ChromeOptions) error {
 
 	// Sampled gauges as counter tracks.
 	if opt.Collector != nil {
-		sp := opt.Collector.Sampler()
-		names := sp.Names()
+		names := opt.Collector.Names()
 		out = append(out, meta(chromePidTelemetry, 0, "process_name", "telemetry"))
-		sp.Each(func(t float64, vals []float64) {
+		opt.Collector.Each(func(t float64, vals []float64) {
 			for i, v := range vals {
 				out = append(out, chromeEvent{
 					Name: names[i], Ph: "C", Ts: t * scale,

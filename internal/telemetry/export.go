@@ -28,12 +28,11 @@ func promName(name string) string {
 func promFloat(v float64) string { return fmt.Sprintf("%g", v) }
 
 // WritePrometheus renders one run's full accounting — the metrics
-// registry's transmission counters, sample series, and fixed-width
-// histograms, plus the collector's counters, log histograms, and latest
-// gauge readings — in the Prometheus text exposition format. Either reg
-// or c may be nil. Output order is fixed (sorted registry names,
-// registration-ordered collector names), so the text is deterministic for
-// a deterministic run.
+// registry's transmission counters, sample series, and histograms, plus
+// the collector's sample count and latest gauge readings — in the
+// Prometheus text exposition format. Either reg or c may be nil. Output
+// order is fixed (sorted registry names, registration-ordered gauges), so
+// the text is deterministic for a deterministic run.
 func WritePrometheus(w io.Writer, reg *metrics.Registry, c *Collector) error {
 	bw := &errWriter{w: w}
 	if reg != nil {
@@ -57,7 +56,7 @@ func WritePrometheus(w io.Writer, reg *metrics.Registry, c *Collector) error {
 			var cum uint64
 			for i := 0; i < h.Buckets(); i++ {
 				cum += h.Count(i)
-				bw.printf("%s_bucket{le=%q} %d\n", name, promFloat(float64(i+1)*h.Width()), cum)
+				bw.printf("%s_bucket{le=%q} %d\n", name, promFloat(h.UpperBound(i)), cum)
 			}
 			cum += h.Overflow()
 			bw.printf("%s_bucket{le=\"+Inf\"} %d\n", name, cum)
@@ -66,27 +65,11 @@ func WritePrometheus(w io.Writer, reg *metrics.Registry, c *Collector) error {
 		}
 	}
 	if c != nil {
-		for _, cn := range c.counterNames {
-			name := promName(cn) + "_total"
-			bw.printf("# TYPE %s counter\n", name)
-			bw.printf("%s %d\n", name, c.counters[cn].Value())
-		}
-		for _, hn := range c.histNames {
-			h := c.hists[hn]
-			name := promName(hn)
-			bw.printf("# TYPE %s histogram\n", name)
-			var cum uint64
-			for i := 0; i < h.Buckets(); i++ {
-				cum += h.Count(i)
-				bw.printf("%s_bucket{le=%q} %d\n", name, promFloat(h.UpperBound(i)), cum)
-			}
-			cum += h.Overflow()
-			bw.printf("%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-			bw.printf("%s_sum %s\n", name, promFloat(h.Sum()))
-			bw.printf("%s_count %d\n", name, h.N())
-		}
-		for _, gn := range c.sampler.names {
-			if v, ok := c.sampler.Last(gn); ok {
+		// Every sampling tick, whether its row is still retained or not.
+		bw.printf("# TYPE roborepair_telemetry_samples_total counter\n")
+		bw.printf("roborepair_telemetry_samples_total %d\n", c.n+c.drops)
+		for _, gn := range c.names {
+			if v, ok := c.Last(gn); ok {
 				name := promName(gn)
 				bw.printf("# TYPE %s gauge\n", name)
 				bw.printf("%s %s\n", name, promFloat(v))
@@ -95,29 +78,29 @@ func WritePrometheus(w io.Writer, reg *metrics.Registry, c *Collector) error {
 		// Ring-eviction losses: nonzero means the retained time-series
 		// window is truncated (telemetryck warns on it).
 		bw.printf("# TYPE roborepair_telemetry_dropped_rows_total counter\n")
-		bw.printf("roborepair_telemetry_dropped_rows_total %d\n", c.sampler.Dropped())
+		bw.printf("roborepair_telemetry_dropped_rows_total %d\n", c.drops)
 	}
 	return bw.err
 }
 
-// WriteTimeSeriesCSV renders the sampler's retained window as CSV: a
+// WriteTimeSeriesCSV renders the collector's retained window as CSV: a
 // header line `t_s,<gauge>,...` then one row per sample. The prefix
 // columns (e.g. run-identifying fields in a sweep grid) are prepended
 // verbatim to the header and every row.
-func WriteTimeSeriesCSV(w io.Writer, sp *Sampler, prefixHeader string, prefixRow string) error {
-	if err := WriteTimeSeriesHeader(w, sp, prefixHeader); err != nil {
+func WriteTimeSeriesCSV(w io.Writer, c *Collector, prefixHeader string, prefixRow string) error {
+	if err := WriteTimeSeriesHeader(w, c, prefixHeader); err != nil {
 		return err
 	}
-	return WriteTimeSeriesRows(w, sp, prefixRow)
+	return WriteTimeSeriesRows(w, c, prefixRow)
 }
 
 // WriteTimeSeriesHeader renders just the CSV header line. Grid callers use
 // it once, then WriteTimeSeriesRows per run, to share one header across
 // many runs' series.
-func WriteTimeSeriesHeader(w io.Writer, sp *Sampler, prefixHeader string) error {
+func WriteTimeSeriesHeader(w io.Writer, c *Collector, prefixHeader string) error {
 	bw := &errWriter{w: w}
 	bw.printf("%st_s", prefixHeader)
-	for _, n := range sp.names {
+	for _, n := range c.names {
 		bw.printf(",%s", n)
 	}
 	bw.printf("\n")
@@ -125,9 +108,9 @@ func WriteTimeSeriesHeader(w io.Writer, sp *Sampler, prefixHeader string) error 
 }
 
 // WriteTimeSeriesRows renders the sample rows without a header.
-func WriteTimeSeriesRows(w io.Writer, sp *Sampler, prefixRow string) error {
+func WriteTimeSeriesRows(w io.Writer, c *Collector, prefixRow string) error {
 	bw := &errWriter{w: w}
-	sp.Each(func(t float64, vals []float64) {
+	c.Each(func(t float64, vals []float64) {
 		bw.printf("%s%g", prefixRow, t)
 		for _, v := range vals {
 			bw.printf(",%g", v)
@@ -139,7 +122,7 @@ func WriteTimeSeriesRows(w io.Writer, sp *Sampler, prefixRow string) error {
 
 // WriteCSV renders the collector's time series with no prefix columns.
 func (c *Collector) WriteCSV(w io.Writer) error {
-	return WriteTimeSeriesCSV(w, c.sampler, "", "")
+	return WriteTimeSeriesCSV(w, c, "", "")
 }
 
 // errWriter folds per-line write errors into one sticky error.

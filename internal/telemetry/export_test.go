@@ -36,11 +36,6 @@ func buildCollector(t *testing.T) *Collector {
 	t.Helper()
 	sched := sim.NewScheduler()
 	c := NewCollector(Config{Enabled: true, SamplePeriodS: 50, RingCapacity: 64})
-	h := c.LogHistogram("repair_delay_s", 8, 12)
-	for _, v := range []float64{5, 30, 200, 9000} {
-		h.Add(v)
-	}
-	c.Counter("events").Add(7)
 	depth := 0.0
 	c.Gauge("queue_depth", func() float64 { depth += 2; return depth })
 	if err := c.Start(sched); err != nil {
@@ -56,6 +51,10 @@ func TestWritePrometheus(t *testing.T) {
 	reg.Observe(metrics.SeriesReportHops, 2)
 	reg.Observe(metrics.SeriesReportHops, 4)
 	reg.Histogram("repair_delay_hist", 30, 8).Add(45)
+	h := reg.DoublingHistogram("repair_delay_s", 8, 12)
+	for _, v := range []float64{5, 30, 200, 9000} {
+		h.Add(v)
+	}
 
 	c := buildCollector(t)
 	var b bytes.Buffer
@@ -70,7 +69,7 @@ func TestWritePrometheus(t *testing.T) {
 		"roborepair_report_hops_count 2",
 		"roborepair_report_hops_sum 6",
 		`roborepair_repair_delay_hist_bucket{le="+Inf"} 1`,
-		"roborepair_events_total 7",
+		"roborepair_telemetry_samples_total 4",
 		`roborepair_repair_delay_s_bucket{le="8"} 1`,
 		"roborepair_repair_delay_s_count 4",
 		"# TYPE roborepair_queue_depth gauge",
@@ -104,8 +103,8 @@ func TestWriteTimeSeriesCSV(t *testing.T) {
 	if lines[0] != "t_s,queue_depth" {
 		t.Fatalf("header = %q", lines[0])
 	}
-	if len(lines) != 1+c.Sampler().Len() {
-		t.Fatalf("rows = %d, want %d", len(lines)-1, c.Sampler().Len())
+	if len(lines) != 1+c.Len() {
+		t.Fatalf("rows = %d, want %d", len(lines)-1, c.Len())
 	}
 	if lines[1] != "0,2" {
 		t.Fatalf("baseline row = %q", lines[1])
@@ -113,7 +112,7 @@ func TestWriteTimeSeriesCSV(t *testing.T) {
 
 	// Prefixed variant (the sweep grid format).
 	b.Reset()
-	if err := WriteTimeSeriesCSV(&b, c.Sampler(), "alg,seed,", "dynamic,3,"); err != nil {
+	if err := WriteTimeSeriesCSV(&b, c, "alg,seed,", "dynamic,3,"); err != nil {
 		t.Fatal(err)
 	}
 	lines = strings.Split(b.String(), "\n")
@@ -151,8 +150,8 @@ func TestExportersPropagateWriteErrors(t *testing.T) {
 	exporters := map[string]func(io.Writer) error{
 		"WritePrometheus":     func(w io.Writer) error { return WritePrometheus(w, reg, c) },
 		"WriteCSV":            c.WriteCSV,
-		"WriteTimeSeriesRows": func(w io.Writer) error { return WriteTimeSeriesRows(w, c.Sampler(), "") },
-		"WriteTimeSeriesHdr":  func(w io.Writer) error { return WriteTimeSeriesHeader(w, c.Sampler(), "") },
+		"WriteTimeSeriesRows": func(w io.Writer) error { return WriteTimeSeriesRows(w, c, "") },
+		"WriteTimeSeriesHdr":  func(w io.Writer) error { return WriteTimeSeriesHeader(w, c, "") },
 	}
 	for name, render := range exporters {
 		var full bytes.Buffer
@@ -220,8 +219,12 @@ func TestPrometheusDroppedRowsCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	scrapeCheck(t, b.String())
-	want := fmt.Sprintf("roborepair_telemetry_dropped_rows_total %d", c.Sampler().Dropped())
-	if c.Sampler().Dropped() == 0 || !strings.Contains(b.String(), want) {
-		t.Fatalf("exposition missing %q (dropped=%d):\n%s", want, c.Sampler().Dropped(), b.String())
+	want := fmt.Sprintf("roborepair_telemetry_dropped_rows_total %d", c.Dropped())
+	if c.Dropped() == 0 || !strings.Contains(b.String(), want) {
+		t.Fatalf("exposition missing %q (dropped=%d):\n%s", want, c.Dropped(), b.String())
+	}
+	// The sample counter covers every tick, retained or evicted.
+	if want := "roborepair_telemetry_samples_total 21"; !strings.Contains(b.String(), want) {
+		t.Fatalf("exposition missing %q:\n%s", want, b.String())
 	}
 }

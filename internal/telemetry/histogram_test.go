@@ -3,13 +3,18 @@ package telemetry
 import (
 	"math"
 	"testing"
+
+	"roborepair/internal/metrics"
 )
+
+// The repair-delay and backlog histograms the collector summarises and the
+// exporters write are doubling-layout metrics.Histograms. These tests pin
+// the behaviour the telemetry output relies on.
 
 // TestLogHistogramBucketBoundaries pins the bucket-edge rule: bucket 0
 // closes at first, every later bucket doubles, and a sample exactly on a
 // boundary lands in the bucket that boundary closes.
 func TestLogHistogramBucketBoundaries(t *testing.T) {
-	h := NewLogHistogram(10, 4) // edges: 10, 20, 40, 80
 	cases := []struct {
 		x    float64
 		want int // bucket index, or -1 for overflow
@@ -22,18 +27,19 @@ func TestLogHistogramBucketBoundaries(t *testing.T) {
 		{-3, 0}, // negatives clamp to bucket 0
 	}
 	for _, c := range cases {
-		h := NewLogHistogram(10, 4)
+		h := metrics.NewDoublingHistogram(10, 4) // edges: 10, 20, 40, 80
 		h.Add(c.x)
 		if c.want < 0 {
 			if h.Overflow() != 1 {
-				t.Errorf("Add(%v): want overflow, got buckets %v", c.x, h.counts)
+				t.Errorf("Add(%v): want overflow, got %v", c.x, h)
 			}
 			continue
 		}
 		if h.Count(c.want) != 1 {
-			t.Errorf("Add(%v): want bucket %d, got %v overflow=%d", c.x, c.want, h.counts, h.Overflow())
+			t.Errorf("Add(%v): want bucket %d, got %v overflow=%d", c.x, c.want, h, h.Overflow())
 		}
 	}
+	h := metrics.NewDoublingHistogram(10, 4)
 	for i, want := range []float64{10, 20, 40, 80} {
 		if got := h.UpperBound(i); got != want {
 			t.Errorf("UpperBound(%d) = %v, want %v", i, got, want)
@@ -42,15 +48,15 @@ func TestLogHistogramBucketBoundaries(t *testing.T) {
 }
 
 func TestLogHistogramStatsAndQuantiles(t *testing.T) {
-	h := NewLogHistogram(1, 10) // edges 1,2,4,...,512
+	h := metrics.NewDoublingHistogram(1, 10) // edges 1,2,4,...,512
 	for i := 1; i <= 100; i++ {
 		h.Add(float64(i))
 	}
 	if h.N() != 100 {
 		t.Fatalf("N = %d", h.N())
 	}
-	if h.Min() != 1 || h.Max() != 100 {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
+	if h.Quantile(0) != 1 || h.Max() != 100 {
+		t.Fatalf("min/max = %v/%v", h.Quantile(0), h.Max())
 	}
 	if got, want := h.Mean(), 50.5; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("mean = %v, want %v", got, want)
@@ -63,13 +69,10 @@ func TestLogHistogramStatsAndQuantiles(t *testing.T) {
 	if got := h.Quantile(0.99); got != 128 {
 		t.Errorf("p99 = %v, want 128", got)
 	}
-	if got := h.Quantile(0); got != 1 {
-		t.Errorf("q0 = %v, want min", got)
-	}
 }
 
 func TestLogHistogramOverflowQuantile(t *testing.T) {
-	h := NewLogHistogram(1, 2) // edges 1, 2
+	h := metrics.NewDoublingHistogram(1, 2) // edges 1, 2
 	h.Add(0.5)
 	h.Add(1000)
 	if h.Overflow() != 1 {
@@ -82,7 +85,7 @@ func TestLogHistogramOverflowQuantile(t *testing.T) {
 }
 
 func TestLogHistogramNaNDropped(t *testing.T) {
-	h := NewLogHistogram(1, 4)
+	h := metrics.NewDoublingHistogram(1, 4)
 	h.Add(math.NaN())
 	if h.N() != 0 {
 		t.Fatalf("NaN was ingested: n=%d", h.N())

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"roborepair/internal/metrics"
 	"roborepair/internal/sim"
 )
 
@@ -19,17 +20,17 @@ func TestSamplerCadenceAndBaseline(t *testing.T) {
 	}
 	sched.Run(450)
 	// Baseline sample at t=0 plus one per 100 s: 0,100,200,300,400.
-	if got := c.Sampler().Times(); !reflect.DeepEqual(got, []float64{0, 100, 200, 300, 400}) {
+	if got := c.Times(); !reflect.DeepEqual(got, []float64{0, 100, 200, 300, 400}) {
 		t.Fatalf("sample times = %v", got)
 	}
-	if got := c.Sampler().Series("clock"); !reflect.DeepEqual(got, []float64{0, 100, 200, 300, 400}) {
+	if got := c.Series("clock"); !reflect.DeepEqual(got, []float64{0, 100, 200, 300, 400}) {
 		t.Fatalf("clock series = %v", got)
 	}
-	if v, ok := c.Sampler().Last("ticks"); !ok || v != 5 {
+	if v, ok := c.Last("ticks"); !ok || v != 5 {
 		t.Fatalf("last ticks = %v,%v", v, ok)
 	}
-	if c.Counter("telemetry_samples").Value() != 5 {
-		t.Fatalf("samples counter = %d", c.Counter("telemetry_samples").Value())
+	if c.Len() != 5 || c.Dropped() != 0 {
+		t.Fatalf("len/dropped = %d/%d, want 5/0", c.Len(), c.Dropped())
 	}
 }
 
@@ -41,35 +42,35 @@ func TestSamplerRingEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched.Run(75) // samples at 0,10,...,70 → 8 rows, ring keeps last 4
-	sp := c.Sampler()
-	if sp.Len() != 4 {
-		t.Fatalf("len = %d", sp.Len())
+	if c.Len() != 4 {
+		t.Fatalf("len = %d", c.Len())
 	}
-	if sp.Dropped() != 4 {
-		t.Fatalf("dropped = %d", sp.Dropped())
+	if c.Dropped() != 4 {
+		t.Fatalf("dropped = %d", c.Dropped())
 	}
-	if got := sp.Times(); !reflect.DeepEqual(got, []float64{40, 50, 60, 70}) {
+	if got := c.Times(); !reflect.DeepEqual(got, []float64{40, 50, 60, 70}) {
 		t.Fatalf("times after eviction = %v", got)
 	}
-	if got := sp.MaxOf("clock"); got != 70 {
+	if got := c.MaxOf("clock"); got != 70 {
 		t.Fatalf("MaxOf = %v", got)
 	}
 }
 
 func TestSamplerUnknownGauge(t *testing.T) {
-	sp := newSampler(10, 4)
-	if s := sp.Series("nope"); s != nil {
+	c := NewCollector(Config{Enabled: true})
+	if s := c.Series("nope"); s != nil {
 		t.Fatalf("unknown series = %v", s)
 	}
-	if _, ok := sp.Last("nope"); ok {
+	if _, ok := c.Last("nope"); ok {
 		t.Fatal("unknown gauge reported a value")
 	}
 }
 
 func TestCollectorSummary(t *testing.T) {
 	c := NewCollector(Config{Enabled: true})
-	c.LogHistogram("repair_delay_s", 8, 16).Add(42)
-	s := c.Summary()
+	reg := metrics.NewRegistry()
+	reg.DoublingHistogram("repair_delay_s", 8, 16).Add(42)
+	s := c.Summary(reg)
 	if !strings.Contains(s, "repair_delay_s") || !strings.Contains(s, "timeseries_samples") {
 		t.Fatalf("summary missing sections:\n%s", s)
 	}

@@ -1,7 +1,7 @@
-// Package telemetry is the simulator's observability layer: log-bucketed
-// latency histograms, named counters, a sim-time gauge sampler with ring
-// buffers, and exporters (Prometheus text, CSV time-series, Chrome
-// trace_event JSON).
+// Package telemetry is the simulator's observability layer: a sim-time
+// gauge sampler with ring buffers, and exporters (Prometheus text, CSV
+// time-series, Chrome trace_event JSON). The layer's latency histograms
+// live in the run's metrics.Registry.
 //
 // The layer is opt-in and near-zero-overhead: the zero Config disables
 // everything, no Collector is built, and the instrumented hot paths reduce
@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 
+	"roborepair/internal/metrics"
 	"roborepair/internal/sim"
 )
 
@@ -58,110 +59,155 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Counter is a named monotonic count.
-type Counter struct {
-	name string
-	n    uint64
-}
-
-// Add increments the counter.
-func (c *Counter) Add(n uint64) { c.n += n }
-
-// Value reports the count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Name reports the counter's registered name.
-func (c *Counter) Name() string { return c.name }
-
-// Collector owns one run's telemetry: histograms, counters, and the gauge
-// sampler. It is not safe for concurrent use (the simulation is
-// single-threaded); distinct runs own distinct Collectors.
+// Collector owns one run's sampled time series: a set of registered
+// gauges snapshotted on a fixed sim-time cadence into pre-allocated ring
+// buffers (one per gauge plus the timestamp column). When the ring fills,
+// the oldest rows are evicted, keeping the most recent window.
+// Steady-state sampling allocates nothing. The run's histograms live in
+// its metrics.Registry. A Collector is not safe for concurrent use (the
+// simulation is single-threaded); distinct runs own distinct Collectors.
 type Collector struct {
 	cfg Config
 
-	histNames    []string // registration order
-	hists        map[string]*LogHistogram
-	counterNames []string
-	counters     map[string]*Counter
+	names []string
+	fns   []func() float64
 
-	sampler *Sampler
-	samples *Counter
+	times []float64   // ring: sample timestamps (sim seconds)
+	cols  [][]float64 // ring per gauge, parallel to times
+	start int         // index of the oldest retained row
+	n     int         // retained rows
+	drops int         // evicted rows
 }
 
 // NewCollector builds a collector for an enabled configuration.
 func NewCollector(cfg Config) *Collector {
-	cfg = cfg.WithDefaults()
-	c := &Collector{
-		cfg:      cfg,
-		hists:    make(map[string]*LogHistogram),
-		counters: make(map[string]*Counter),
-		sampler:  newSampler(sim.Duration(cfg.SamplePeriodS), cfg.RingCapacity),
-	}
-	c.samples = c.Counter("telemetry_samples")
-	return c
+	return &Collector{cfg: cfg.WithDefaults()}
 }
 
 // Config reports the collector's effective (defaulted) configuration.
 func (c *Collector) Config() Config { return c.cfg }
 
-// LogHistogram returns (lazily creating) the named histogram. First/
-// buckets apply only at creation; see NewLogHistogram.
-func (c *Collector) LogHistogram(name string, first float64, buckets int) *LogHistogram {
-	if h, ok := c.hists[name]; ok {
-		return h
-	}
-	h := NewLogHistogram(first, buckets)
-	h.name = name
-	c.hists[name] = h
-	c.histNames = append(c.histNames, name)
-	return h
-}
-
-// Hist returns the named histogram, or nil when absent.
-func (c *Collector) Hist(name string) *LogHistogram { return c.hists[name] }
-
-// HistNames lists the registered histograms in registration order.
-func (c *Collector) HistNames() []string { return append([]string(nil), c.histNames...) }
-
-// Counter returns (lazily creating) the named counter.
-func (c *Collector) Counter(name string) *Counter {
-	if ct, ok := c.counters[name]; ok {
-		return ct
-	}
-	ct := &Counter{name: name}
-	c.counters[name] = ct
-	c.counterNames = append(c.counterNames, name)
-	return ct
-}
-
-// CounterNames lists the registered counters in registration order.
-func (c *Collector) CounterNames() []string { return append([]string(nil), c.counterNames...) }
-
 // Gauge registers a named gauge; fn is called at every sampling tick and
 // must read only deterministic simulation state. Register all gauges
 // before Start.
 func (c *Collector) Gauge(name string, fn func() float64) {
-	c.sampler.register(name, fn)
+	c.names = append(c.names, name)
+	c.fns = append(c.fns, fn)
 }
 
-// Start arms the sampling ticker on the scheduler: one snapshot of every
-// gauge at virtual time 0 (the baseline row) and every SamplePeriodS
-// thereafter. Ring buffers are pre-sized here so steady-state sampling
-// allocates nothing.
+// Start sizes the rings and arms the sampling ticker on the scheduler: one
+// snapshot of every gauge at the current virtual time (the baseline row)
+// and one every SamplePeriodS thereafter.
 func (c *Collector) Start(sched *sim.Scheduler) error {
-	return c.sampler.arm(sched, func() { c.samples.Add(1) })
+	c.times = make([]float64, c.cfg.RingCapacity)
+	c.cols = make([][]float64, len(c.fns))
+	for i := range c.cols {
+		c.cols[i] = make([]float64, c.cfg.RingCapacity)
+	}
+	_, err := sched.NewTicker(0, sim.Duration(c.cfg.SamplePeriodS), func() { c.snapshot(sched.Now()) })
+	return err
 }
 
-// Sampler exposes the time-series sampler (for exporters).
-func (c *Collector) Sampler() *Sampler { return c.sampler }
+// snapshot appends one row of gauge readings at timestamp now.
+func (c *Collector) snapshot(now sim.Time) {
+	idx := (c.start + c.n) % len(c.times)
+	if c.n == len(c.times) {
+		c.start = (c.start + 1) % len(c.times)
+		c.drops++
+	} else {
+		c.n++
+	}
+	c.times[idx] = float64(now)
+	for i, fn := range c.fns {
+		c.cols[i][idx] = fn()
+	}
+}
 
-// Summary renders a compact human-readable digest of the histograms.
-func (c *Collector) Summary() string {
+// Len reports the retained row count.
+func (c *Collector) Len() int { return c.n }
+
+// Dropped reports how many rows the ring evicted.
+func (c *Collector) Dropped() int { return c.drops }
+
+// Names lists the gauge column names in registration order.
+func (c *Collector) Names() []string { return append([]string(nil), c.names...) }
+
+// row maps the i-th retained row (0 = oldest) to its ring index.
+func (c *Collector) row(i int) int { return (c.start + i) % len(c.times) }
+
+// Each calls fn for every retained row in chronological order with the
+// sample timestamp and one value per gauge. The vals slice is reused
+// across calls; copy it to retain.
+func (c *Collector) Each(fn func(t float64, vals []float64)) {
+	vals := make([]float64, len(c.cols))
+	for i := 0; i < c.n; i++ {
+		idx := c.row(i)
+		for j := range c.cols {
+			vals[j] = c.cols[j][idx]
+		}
+		fn(c.times[idx], vals)
+	}
+}
+
+// Last reports the most recent value of the named gauge, or ok=false when
+// the gauge is unknown or nothing was sampled yet.
+func (c *Collector) Last(name string) (float64, bool) {
+	if c.n == 0 {
+		return 0, false
+	}
+	for i, n := range c.names {
+		if n == name {
+			return c.cols[i][c.row(c.n-1)], true
+		}
+	}
+	return 0, false
+}
+
+// Series returns a copy of the named gauge's retained values in
+// chronological order, or nil when the gauge is unknown.
+func (c *Collector) Series(name string) []float64 {
+	for i, n := range c.names {
+		if n != name {
+			continue
+		}
+		out := make([]float64, c.n)
+		for j := range out {
+			out[j] = c.cols[i][c.row(j)]
+		}
+		return out
+	}
+	return nil
+}
+
+// Times returns a copy of the retained sample timestamps.
+func (c *Collector) Times() []float64 {
+	out := make([]float64, c.n)
+	for j := range out {
+		out[j] = c.times[c.row(j)]
+	}
+	return out
+}
+
+// MaxOf reports the maximum retained value of the named gauge (0 when
+// empty or unknown).
+func (c *Collector) MaxOf(name string) float64 {
+	var max float64
+	for _, v := range c.Series(name) {
+		if v > max {
+			max = v
+		}
+	}
+	return max
+}
+
+// Summary renders a compact human-readable digest: the registry's
+// histograms (sorted by name), then the time-series sample count.
+func (c *Collector) Summary(reg *metrics.Registry) string {
 	out := ""
-	for _, name := range c.histNames {
-		out += fmt.Sprintf("%-24s %s\n", name, c.hists[name])
+	for _, name := range reg.HistNames() {
+		out += fmt.Sprintf("%-24s %s\n", name, reg.Hist(name))
 	}
 	out += fmt.Sprintf("%-24s n=%d (period %gs, %d gauges)\n",
-		"timeseries_samples", c.sampler.Len(), float64(c.sampler.period), len(c.sampler.names))
+		"timeseries_samples", c.n, c.cfg.SamplePeriodS, len(c.names))
 	return out
 }
