@@ -34,11 +34,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-
 	"strings"
 
 	"roborepair"
+	"roborepair/internal/algorithm"
 	"roborepair/internal/chaos"
 	"roborepair/internal/checkpoint"
 	"roborepair/internal/scenario"
@@ -46,27 +47,21 @@ import (
 	"roborepair/internal/telemetry"
 )
 
-// algNames renders the registered algorithm names for flag help.
-func algNames() string {
-	names := make([]string, 0, 8)
-	for _, a := range roborepair.Algorithms() {
-		names = append(names, string(a))
-	}
-	return strings.Join(names, "|")
-}
-
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "repairsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run executes one simulation as configured by args, printing its results
+// on stdout and progress notes and invariant violations on stderr.
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("repairsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	cfg := roborepair.DefaultConfig()
 
-	algName := fs.String("alg", cfg.Algorithm.String(), "algorithm: "+algNames())
+	algName := fs.String("alg", cfg.Algorithm.String(), "algorithm: "+strings.Join(algorithm.Names(), "|"))
 	fs.IntVar(&cfg.Robots, "robots", cfg.Robots, "number of maintenance robots")
 	fs.Float64Var(&cfg.SimTime, "simtime", cfg.SimTime, "simulated seconds")
 	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
@@ -138,7 +133,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "repairsim: restored %s at t=%.0f s, running to %.0f s\n",
+		fmt.Fprintf(stderr, "repairsim: restored %s at t=%.0f s, running to %.0f s\n",
 			*restorePath, snap.T, w.Cfg.SimTime)
 		res = w.Run()
 	case *ckptPath != "":
@@ -167,7 +162,7 @@ func run(args []string) error {
 		res = w.Run()
 	}
 	if *restorePath != "" && *tailTrace != 0 {
-		fmt.Print(w.Trace.Render(*tailTrace))
+		fmt.Fprint(stdout, w.Trace.Render(*tailTrace))
 	}
 	if err := export(w, res, *prom, *timeseries, *chromeTrace); err != nil {
 		return err
@@ -184,7 +179,7 @@ func run(args []string) error {
 	}
 	if len(res.Violations) > 0 {
 		for _, v := range res.Violations {
-			fmt.Fprintln(os.Stderr, "violation:", v)
+			fmt.Fprintln(stderr, "violation:", v)
 		}
 		return fmt.Errorf("%d invariant violations", len(res.Violations))
 	}
@@ -193,39 +188,39 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(out))
+		fmt.Fprintln(stdout, string(out))
 		return nil
 	}
-	fmt.Println(res.Summary())
-	fmt.Printf("total travel: %.1f m   report delivery: %.3f   repair ratio: %.3f   avg repair delay: %.1f s\n",
+	fmt.Fprintln(stdout, res.Summary())
+	fmt.Fprintf(stdout, "total travel: %.1f m   report delivery: %.3f   repair ratio: %.3f   avg repair delay: %.1f s\n",
 		res.TotalTravel, res.ReportDeliveryRatio(), res.RepairRatio(), res.AvgRepairDelay)
 	if cfg.SensingRange > 0 {
-		fmt.Printf("coverage: mean %.3f   min %.3f (sensing radius %.0f m)\n",
+		fmt.Fprintf(stdout, "coverage: mean %.3f   min %.3f (sensing radius %.0f m)\n",
 			res.MeanCoverage, res.MinCoverage, cfg.SensingRange)
 	}
 	if cfg.Faults != nil || cfg.Reliability.Enabled {
-		fmt.Printf("degradation: unrepaired %d   dup repairs %d   stranded %d (requeued %d)   "+
+		fmt.Fprintf(stdout, "degradation: unrepaired %d   dup repairs %d   stranded %d (requeued %d)   "+
 			"retx %d (abandoned %d)   redispatches %d   takeovers %d   mean recovery %.1f s\n",
 			res.UnrepairedFailures, res.DuplicateRepairs, res.StrandedTasks, res.RequeuedTasks,
 			res.ReportRetx, res.ReportsAbandoned, res.Redispatches, res.ManagerTakeovers,
 			res.MeanFaultRecovery)
 		if res.CorruptedFrames > 0 {
-			fmt.Printf("hostile channel: corrupted %d   dropped malformed %d   replay-rejected %d\n",
+			fmt.Fprintf(stdout, "hostile channel: corrupted %d   dropped malformed %d   replay-rejected %d\n",
 				res.CorruptedFrames, res.DroppedMalformed, res.ReplayRejected)
 		}
 	}
 	if w.Cfg.Battery != nil {
-		fmt.Printf("energy: spent %.0f J   deaths %d   recharges %d   handoffs %d\n",
+		fmt.Fprintf(stdout, "energy: spent %.0f J   deaths %d   recharges %d   handoffs %d\n",
 			res.EnergySpentJ, res.RobotDeaths, res.Recharges, res.TaskHandoffs)
 	}
 	if *telemetryOn {
-		fmt.Print(res.Telemetry.Summary(res.Registry))
+		fmt.Fprint(stdout, res.Telemetry.Summary(res.Registry))
 	}
 	if *verbose {
-		fmt.Print(res.Registry.Dump())
+		fmt.Fprint(stdout, res.Registry.Dump())
 	}
 	if cfg.Invariants.Enabled {
-		fmt.Println("invariants: ok")
+		fmt.Fprintln(stdout, "invariants: ok")
 	}
 	return nil
 }

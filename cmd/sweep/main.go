@@ -45,19 +45,11 @@ import (
 	"time"
 
 	"roborepair"
+	"roborepair/internal/algorithm"
 	"roborepair/internal/chaos"
 	"roborepair/internal/runner"
 	"roborepair/internal/telemetry"
 )
-
-// algNames renders the registered algorithm names for flag help.
-func algNames() string {
-	names := make([]string, 0, 8)
-	for _, a := range roborepair.Algorithms() {
-		names = append(names, string(a))
-	}
-	return strings.Join(names, "|")
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -77,7 +69,7 @@ func run(args []string) error {
 	param := fs.String("param", "robots", "robots|cargo|sensing|lifetime|threshold|loss|density")
 	values := fs.String("values", "4,9,16", "comma-separated values of the swept parameter")
 	algsFlag := fs.String("algs", "centralized,fixed,dynamic",
-		"algorithms to sweep: comma-separated registered names, or 'all' ("+algNames()+")")
+		"algorithms to sweep: comma-separated registered names, or 'all' ("+strings.Join(algorithm.Names(), "|")+")")
 	simtime := fs.Float64("simtime", 16000, "simulated seconds per run")
 	seeds := fs.Int("seeds", 1, "seeds per configuration")
 	procs := fs.Int("procs", 0, "parallel workers (0 = GOMAXPROCS)")

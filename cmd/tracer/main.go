@@ -23,18 +23,10 @@ import (
 	"strings"
 
 	"roborepair"
+	"roborepair/internal/algorithm"
 	"roborepair/internal/scenario"
 	"roborepair/internal/telemetry"
 )
-
-// algNames renders the registered algorithm names for flag help.
-func algNames() string {
-	names := make([]string, 0, 8)
-	for _, a := range roborepair.Algorithms() {
-		names = append(names, string(a))
-	}
-	return strings.Join(names, "|")
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -46,7 +38,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("tracer", flag.ContinueOnError)
 	cfg := roborepair.DefaultConfig()
-	algName := fs.String("alg", cfg.Algorithm.String(), "algorithm: "+algNames())
+	algName := fs.String("alg", cfg.Algorithm.String(), "algorithm: "+strings.Join(algorithm.Names(), "|"))
 	fs.IntVar(&cfg.Robots, "robots", cfg.Robots, "number of maintenance robots")
 	fs.Float64Var(&cfg.SimTime, "simtime", 16000, "simulated seconds")
 	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")

@@ -134,9 +134,7 @@ func newFacility(env *Env) (Strategy, error) {
 		}
 	}
 	s.mgr = core.NewManager(env.ManagerID, env.Bounds.Center(), env.RobotRange, env.Medium, hooks)
-	if env.RelEnabled {
-		s.mgr.SetReliability(env.ManagerRel)
-	}
+	s.mgr.SetReliability(env.ManagerRel)
 	s.mgr.SetSelector(s.selectRobot)
 	return s, nil
 }

@@ -37,9 +37,7 @@ type centralized struct {
 
 func newCentralized(env *Env) (Strategy, error) {
 	mgr := core.NewManager(env.ManagerID, env.Bounds.Center(), env.RobotRange, env.Medium, env.ManagerHooks)
-	if env.RelEnabled {
-		mgr.SetReliability(env.ManagerRel)
-	}
+	mgr.SetReliability(env.ManagerRel)
 	return &centralized{env: env, mgr: mgr}, nil
 }
 

@@ -43,10 +43,9 @@ type Env struct {
 	// ManagerHooks are the world's observation callbacks for a central
 	// manager; strategies may wrap them but must still invoke them.
 	ManagerHooks core.ManagerHooks
-	// RelEnabled and ManagerRel carry the reliability extension's manager
-	// knobs; ManagerRel is meaningful only when RelEnabled.
-	RelEnabled bool
-	ManagerRel core.ManagerReliability
+	// ManagerRel carries the reliability extension's manager timing; its
+	// zero value leaves the extension off.
+	ManagerRel robot.Liveness
 	// Deploy is the robot-placement random stream (shared with sensor
 	// deployment; draws must happen in RobotStart call order).
 	Deploy *rng.Source

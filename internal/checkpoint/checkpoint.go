@@ -39,7 +39,7 @@ import (
 // versions: snapshot state mirrors internal struct layouts, so there is no
 // cross-version compatibility promise — the gate turns skew into a clean
 // error instead of a garbage restore.
-const Version uint16 = 2
+const Version uint16 = 3
 
 // magic identifies a snapshot file ("RoboRepair SNapshot").
 var magic = [4]byte{'R', 'R', 'S', 'N'}

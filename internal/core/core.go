@@ -24,7 +24,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"roborepair/internal/geom"
 	"roborepair/internal/metrics"
@@ -215,7 +214,9 @@ type Manager struct {
 	hooks  ManagerHooks
 	policy DispatchPolicy
 
-	robots   map[radio.NodeID]robotInfo
+	// book is the fleet table, dedup set and request ledger; a robot that
+	// takes the manager role over keeps the same kind of book.
+	book     *robot.Book
 	selector Selector
 	// meanDispatchDist is the running mean of dispatch distances, used as
 	// the per-task service estimate by the ETA policy.
@@ -223,27 +224,10 @@ type Manager struct {
 	dispatches       int
 	seq              uint64
 
-	// strictSeq rejects robot updates whose Seq is below the last accepted
-	// one (hostile-channel defense against stale replays); replayRejected
-	// counts the rejections.
-	strictSeq      bool
-	replayRejected uint64
-
-	// Reliability-extension state (inert when rel is zero).
-	rel         ManagerReliability
-	failed      bool
-	deposed     bool
-	ticker      *sim.Ticker
-	lastHeard   map[radio.NodeID]sim.Time
-	seen        map[radio.NodeID]bool         // failed IDs already dispatched
-	outstanding map[radio.NodeID]*mgrDispatch // issued requests by failed ID
-}
-
-// robotInfo is the manager's view of one maintenance robot.
-type robotInfo struct {
-	loc  geom.Point
-	load int
-	seq  uint64
+	// Reliability-extension state (inert unless SetReliability enabled it).
+	failed  bool
+	deposed bool
+	ticker  *sim.Ticker
 }
 
 var _ radio.Station = (*Manager)(nil)
@@ -257,7 +241,6 @@ func NewManager(id radio.NodeID, pos geom.Point, txRange float64, medium *radio.
 		rng:    txRange,
 		medium: medium,
 		hooks:  hooks,
-		robots: make(map[radio.NodeID]robotInfo),
 	}
 	m.router = &netstack.Router{
 		ID:     id,
@@ -275,6 +258,13 @@ func NewManager(id radio.NodeID, pos geom.Point, txRange float64, medium *radio.
 			medium.Metrics().CountTx("drop_"+string(reason), 1)
 		},
 	}
+	m.book = robot.NewBook(robot.BookConfig{
+		Self:            id,
+		Pos:             m.Pos,
+		Router:          m.router,
+		OnRequestIssued: hooks.OnRequestIssued,
+		OnRedispatch:    hooks.OnRedispatch,
+	})
 	return m
 }
 
@@ -286,9 +276,9 @@ func (m *Manager) Pos() geom.Point { return m.pos }
 
 // RobotLocations returns a copy of the manager's tracked robot positions.
 func (m *Manager) RobotLocations() map[radio.NodeID]geom.Point {
-	out := make(map[radio.NodeID]geom.Point, len(m.robots))
-	for k, v := range m.robots {
-		out[k] = v.loc
+	out := make(map[radio.NodeID]geom.Point, len(m.book.Fleet()))
+	for _, e := range m.book.Fleet() {
+		out[e.ID] = e.Loc
 	}
 	return out
 }
@@ -314,25 +304,23 @@ func (m *Manager) Active() bool { return !m.failed && !m.deposed }
 // is on.
 func (m *Manager) RobotViews() []RobotView {
 	now := m.medium.Scheduler().Now()
-	out := make([]RobotView, 0, len(m.robots))
-	for id, info := range m.robots {
-		if m.rel.Enabled() && m.robotStale(id, now) {
-			continue
+	out := make([]RobotView, 0, len(m.book.Fleet()))
+	for _, e := range m.book.Fleet() {
+		if m.book.Live(e.ID, now) {
+			out = append(out, RobotView{ID: e.ID, Loc: e.Loc, Load: e.Load})
 		}
-		out = append(out, RobotView{ID: id, Loc: info.loc, Load: info.load})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // SetStrictSeq toggles rejection of stale-sequence robot updates. The
 // hostile-channel layer turns it on; it stays off on a benign medium,
 // where multi-path relaying genuinely reorders updates.
-func (m *Manager) SetStrictSeq(on bool) { m.strictSeq = on }
+func (m *Manager) SetStrictSeq(on bool) { m.book.StrictSeq = on }
 
 // ReplayRejected reports how many robot updates the strict-sequence guard
 // rejected as stale.
-func (m *Manager) ReplayRejected() uint64 { return m.replayRejected }
+func (m *Manager) ReplayRejected() uint64 { return m.book.ReplayRejected() }
 
 // RadioID implements radio.Station.
 func (m *Manager) RadioID() radio.NodeID { return m.id }
@@ -352,8 +340,9 @@ func (m *Manager) RadioActive() bool { return !m.failed }
 // and all the maintenance robots", §3.1).
 func (m *Manager) Start(initDelay sim.Duration) {
 	m.medium.Attach(m)
-	if m.rel.Enabled() {
-		t, err := m.medium.Scheduler().NewTicker(m.rel.HeartbeatPeriod, m.rel.HeartbeatPeriod, m.relTick)
+	if m.reliable() {
+		period := m.book.Liveness.HeartbeatPeriod
+		t, err := m.medium.Scheduler().NewTicker(period, period, m.relTick)
 		if err != nil {
 			panic(err) // unreachable: Enabled() implies a positive period
 		}
@@ -379,8 +368,7 @@ func (m *Manager) Start(initDelay sim.Duration) {
 // TrackRobot primes the manager's location table (used when robots
 // register by unicast during initialization).
 func (m *Manager) TrackRobot(id radio.NodeID, loc geom.Point) {
-	m.robots[id] = robotInfo{loc: loc}
-	m.noteRobot(id)
+	m.book.Track(id, loc, m.medium.Scheduler().Now())
 }
 
 // HandleFrame implements radio.Station.
@@ -405,76 +393,48 @@ func (m *Manager) deliver(p netstack.Packet) {
 	}
 	switch msg := p.Payload.(type) {
 	case wire.RobotUpdate:
-		if info, ok := m.robots[msg.Robot]; m.strictSeq && ok && msg.Seq < info.seq {
-			// Hostile channel: a replayed update would roll the robot's
-			// position back. Equal Seq is an idempotent duplicate and passes.
-			m.replayRejected++
-			return
-		}
-		m.robots[msg.Robot] = robotInfo{loc: msg.Loc, load: msg.Load, seq: msg.Seq}
-		if m.rel.Enabled() {
-			m.noteRobot(msg.Robot)
-			m.ackHeartbeat(msg)
+		if m.book.Note(msg, m.medium.Scheduler().Now()) && m.reliable() {
+			m.book.AckHeartbeat(msg)
 		}
 	case wire.FailureReport:
 		if m.hooks.OnReportReceived != nil {
 			m.hooks.OnReportReceived(msg, p.Hops)
 		}
-		if m.rel.Enabled() {
+		if m.reliable() {
 			// Ack first — even a duplicate means the reporter must stop
 			// retransmitting — then deduplicate by failed node.
-			m.ackReport(msg)
-			if m.seen[msg.Failed] {
+			m.book.AckReport(msg)
+			if !m.book.MarkSeen(msg.Failed) {
 				return
 			}
-			m.seen[msg.Failed] = true
 		}
 		m.dispatch(msg)
 	case wire.DispatchAck:
-		if o, ok := m.outstanding[msg.Failed]; ok && o.robot == msg.Robot {
-			o.acked = true
-		}
+		m.book.Ack(msg.Robot, msg.Failed)
 	case wire.RepairDone:
-		if m.rel.Enabled() {
-			delete(m.outstanding, msg.Failed)
-			delete(m.seen, msg.Failed)
-		}
+		m.book.Done(msg.Failed)
 	}
 }
 
-// selectRobot picks the robot for a failure location per the dispatch
-// policy, skipping robots past the liveness deadline when the reliability
-// protocol is on.
+// selectRobot picks a live robot for a failure location: the selector's
+// choice when it names one, otherwise the dispatch policy's.
 func (m *Manager) selectRobot(loc geom.Point, now sim.Time) (radio.NodeID, bool) {
 	if m.selector != nil {
-		if id, ok := m.selector(loc, m.RobotViews()); ok {
-			if _, tracked := m.robots[id]; tracked && !(m.rel.Enabled() && m.robotStale(id, now)) {
-				return id, true
-			}
+		if id, ok := m.selector(loc, m.RobotViews()); ok && m.book.Live(id, now) {
+			return id, true
 		}
 	}
-	var best radio.NodeID
-	bestScore := -1.0
-	for id, info := range m.robots {
-		if m.rel.Enabled() && m.robotStale(id, now) {
-			continue
-		}
-		var score float64
-		switch m.policy {
-		case DispatchShortestETA:
-			est := m.meanDispatchDist
-			if m.dispatches == 0 {
-				est = 100 // the geometry’s prior (½·√(area/robot))
-			}
-			score = info.loc.Dist(loc) + float64(info.load)*est
-		default:
-			score = info.loc.Dist2(loc)
-		}
-		if bestScore < 0 || score < bestScore || (score == bestScore && id < best) {
-			best, bestScore = id, score
-		}
+	est := m.meanDispatchDist
+	if m.dispatches == 0 {
+		est = 100 // the geometry’s prior (½·√(area/robot))
 	}
-	return best, bestScore >= 0
+	id, _, ok := m.book.Best(now, func(e robot.FleetEntry) float64 {
+		if m.policy == DispatchShortestETA {
+			return e.Loc.Dist(loc) + float64(e.Load)*est
+		}
+		return e.Loc.Dist2(loc)
+	})
+	return id, ok
 }
 
 // dispatch selects the robot for a failure per the dispatch policy — by
@@ -482,37 +442,19 @@ func (m *Manager) selectRobot(loc geom.Point, now sim.Time) (radio.NodeID, bool)
 // failure" — and forwards a repair request to it.
 func (m *Manager) dispatch(rep wire.FailureReport) {
 	now := m.medium.Scheduler().Now()
-	req := wire.RepairRequest{Failed: rep.Failed, Loc: rep.Loc, IssuedAt: now}
-	if m.rel.Enabled() {
-		req.Manager, req.ManagerLoc = m.id, m.pos
-	}
+	req := m.book.Request(rep, now)
 	best, ok := m.selectRobot(rep.Loc, now)
 	if !ok {
 		if m.hooks.OnUndispatchable != nil {
 			m.hooks.OnUndispatchable(rep)
 		}
-		if m.outstanding != nil {
-			// Responsibility is already acknowledged to the reporter: keep
-			// the request outstanding until a live robot appears.
-			m.outstanding[rep.Failed] = &mgrDispatch{req: req, lastSent: now}
-		}
+		m.book.Hold(req, now)
 		return
 	}
-	d := m.robots[best].loc.Dist(rep.Loc)
+	d := m.book.Loc(best).Dist(rep.Loc)
 	m.meanDispatchDist = (m.meanDispatchDist*float64(m.dispatches) + d) / float64(m.dispatches+1)
 	m.dispatches++
-	if m.hooks.OnRequestIssued != nil {
-		m.hooks.OnRequestIssued(req, best)
-	}
-	if m.outstanding != nil {
-		m.outstanding[rep.Failed] = &mgrDispatch{req: req, robot: best, lastSent: now, attempts: 1}
-	}
-	m.router.Originate(netstack.Packet{
-		Dst:      best,
-		DstLoc:   m.robots[best].loc,
-		Category: metrics.CatRepairRequest,
-		Payload:  req,
-	})
+	m.book.Issue(req, best, now)
 }
 
 // ---------------------------------------------------------------------

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"roborepair/internal/checkpoint"
-	"roborepair/internal/radio"
-)
+import "roborepair/internal/checkpoint"
 
 // AppendState serializes the central manager's complete dynamic state in
 // canonical order (checkpoint section payload).
@@ -16,68 +11,7 @@ func (m *Manager) AppendState(b []byte) []byte {
 	b = checkpoint.AppendF64(b, m.meanDispatchDist)
 	b = checkpoint.AppendI64(b, int64(m.dispatches))
 	b = checkpoint.AppendU64(b, m.seq)
-	b = checkpoint.AppendU64(b, m.replayRejected)
 	b = checkpoint.AppendBool(b, m.failed)
 	b = checkpoint.AppendBool(b, m.deposed)
-
-	robotIDs := make([]radio.NodeID, 0, len(m.robots))
-	for id := range m.robots {
-		robotIDs = append(robotIDs, id)
-	}
-	sort.Slice(robotIDs, func(i, j int) bool { return robotIDs[i] < robotIDs[j] })
-	b = checkpoint.AppendU32(b, uint32(len(robotIDs)))
-	for _, id := range robotIDs {
-		info := m.robots[id]
-		b = checkpoint.AppendI64(b, int64(id))
-		b = checkpoint.AppendF64(b, info.loc.X)
-		b = checkpoint.AppendF64(b, info.loc.Y)
-		b = checkpoint.AppendI64(b, int64(info.load))
-		b = checkpoint.AppendU64(b, info.seq)
-	}
-
-	heardIDs := make([]radio.NodeID, 0, len(m.lastHeard))
-	for id := range m.lastHeard {
-		heardIDs = append(heardIDs, id)
-	}
-	sort.Slice(heardIDs, func(i, j int) bool { return heardIDs[i] < heardIDs[j] })
-	b = checkpoint.AppendU32(b, uint32(len(heardIDs)))
-	for _, id := range heardIDs {
-		b = checkpoint.AppendI64(b, int64(id))
-		b = checkpoint.AppendF64(b, float64(m.lastHeard[id]))
-	}
-
-	seenIDs := make([]radio.NodeID, 0, len(m.seen))
-	for id, on := range m.seen {
-		if on {
-			seenIDs = append(seenIDs, id)
-		}
-	}
-	sort.Slice(seenIDs, func(i, j int) bool { return seenIDs[i] < seenIDs[j] })
-	b = checkpoint.AppendU32(b, uint32(len(seenIDs)))
-	for _, id := range seenIDs {
-		b = checkpoint.AppendI64(b, int64(id))
-	}
-
-	outIDs := make([]radio.NodeID, 0, len(m.outstanding))
-	for id := range m.outstanding {
-		outIDs = append(outIDs, id)
-	}
-	sort.Slice(outIDs, func(i, j int) bool { return outIDs[i] < outIDs[j] })
-	b = checkpoint.AppendU32(b, uint32(len(outIDs)))
-	for _, id := range outIDs {
-		o := m.outstanding[id]
-		b = checkpoint.AppendI64(b, int64(id))
-		b = checkpoint.AppendI64(b, int64(o.req.Failed))
-		b = checkpoint.AppendF64(b, o.req.Loc.X)
-		b = checkpoint.AppendF64(b, o.req.Loc.Y)
-		b = checkpoint.AppendF64(b, float64(o.req.IssuedAt))
-		b = checkpoint.AppendI64(b, int64(o.req.Manager))
-		b = checkpoint.AppendF64(b, o.req.ManagerLoc.X)
-		b = checkpoint.AppendF64(b, o.req.ManagerLoc.Y)
-		b = checkpoint.AppendI64(b, int64(o.robot))
-		b = checkpoint.AppendF64(b, float64(o.lastSent))
-		b = checkpoint.AppendI64(b, int64(o.attempts))
-		b = checkpoint.AppendBool(b, o.acked)
-	}
-	return b
+	return m.book.AppendState(b)
 }

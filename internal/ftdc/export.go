@@ -4,79 +4,50 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
+
+	"roborepair/internal/metrics"
 )
-
-// promName sanitizes a column name into the Prometheus charset
-// [a-zA-Z0-9_] and prefixes the simulator namespace (mirroring the
-// telemetry exporter's convention).
-func promName(name string) string {
-	var b strings.Builder
-	b.WriteString("roborepair_")
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
-// errWriter folds per-line write errors into one sticky error.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) printf(format string, args ...any) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = fmt.Fprintf(e.w, format, args...)
-}
 
 // WriteCSV renders the recording as CSV — the same shape as the
 // telemetry exporter's time-series CSV: a header of column names, then
 // one row per sample, %g-formatted.
 func WriteCSV(w io.Writer, r *Recording) error {
-	bw := &errWriter{w: w}
+	bw := &metrics.ErrWriter{W: w}
 	for i, name := range r.Schema.Cols {
 		if i > 0 {
-			bw.printf(",")
+			bw.Printf(",")
 		}
-		bw.printf("%s", name)
+		bw.Printf("%s", name)
 	}
-	bw.printf("\n")
+	bw.Printf("\n")
 	r.EachRow(func(_ int, row []float64) {
 		for i, v := range row {
 			if i > 0 {
-				bw.printf(",")
+				bw.Printf(",")
 			}
-			bw.printf("%g", v)
+			bw.Printf("%g", v)
 		}
-		bw.printf("\n")
+		bw.Printf("\n")
 	})
-	return bw.err
+	return bw.Err
 }
 
 // WritePrometheus renders the recording's final sample as gauges in the
 // Prometheus text exposition format — the "state at capture" view of a
 // banked black box.
 func WritePrometheus(w io.Writer, r *Recording) error {
-	bw := &errWriter{w: w}
+	bw := &metrics.ErrWriter{W: w}
 	n := r.NumRows()
 	if n == 0 {
-		return bw.err
+		return bw.Err
 	}
 	last := len(r.Chunks) - 1
 	for c, name := range r.Schema.Cols {
-		pn := promName(name)
-		bw.printf("# TYPE %s gauge\n", pn)
-		bw.printf("%s %g\n", pn, r.Chunks[last].Cols[c][r.Chunks[last].Rows-1])
+		pn := metrics.PromName(name)
+		bw.Printf("# TYPE %s gauge\n", pn)
+		bw.Printf("%s %g\n", pn, r.Chunks[last].Cols[c][r.Chunks[last].Rows-1])
 	}
-	return bw.err
+	return bw.Err
 }
 
 // ColumnStats summarizes one column of a recording.
@@ -119,16 +90,16 @@ func (r *Recording) Stats() []ColumnStats {
 // WriteSummary renders a human-oriented overview: schema identity, sample
 // counts, and per-column min/mean/max/last.
 func WriteSummary(w io.Writer, r *Recording) error {
-	bw := &errWriter{w: w}
+	bw := &metrics.ErrWriter{W: w}
 	hash := r.Schema.Hash()
-	bw.printf("ftdc recording: %d columns, %d samples in %d chunks\n",
+	bw.Printf("ftdc recording: %d columns, %d samples in %d chunks\n",
 		len(r.Schema.Cols), r.NumRows(), len(r.Chunks))
-	bw.printf("schema sha256=%x seed=%d period=%gs\n", hash[:8], r.Schema.Seed, r.Schema.PeriodS)
-	bw.printf("%-24s %12s %12s %12s %12s\n", "column", "min", "mean", "max", "last")
+	bw.Printf("schema sha256=%x seed=%d period=%gs\n", hash[:8], r.Schema.Seed, r.Schema.PeriodS)
+	bw.Printf("%-24s %12s %12s %12s %12s\n", "column", "min", "mean", "max", "last")
 	for _, st := range r.Stats() {
-		bw.printf("%-24s %12g %12g %12g %12g\n", st.Name, st.Min, st.Mean, st.Max, st.Last)
+		bw.Printf("%-24s %12g %12g %12g %12g\n", st.Name, st.Min, st.Mean, st.Max, st.Last)
 	}
-	return bw.err
+	return bw.Err
 }
 
 // ColumnDiff reports how one column differs between two recordings.

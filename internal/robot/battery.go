@@ -239,10 +239,8 @@ func (r *Robot) goRecharge(declined *Task) {
 	}
 	handed = append(handed, r.queue...)
 	r.queue = nil
-	if r.seen != nil {
-		for i := range handed {
-			delete(r.seen, handed[i].Failed)
-		}
+	for i := range handed {
+		r.book.Unsee(handed[i].Failed)
 	}
 	// Flag first: a handed-off task that bounces straight back (no other
 	// robot can take it) must queue for after the recharge, not re-enter

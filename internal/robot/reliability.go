@@ -1,8 +1,6 @@
 package robot
 
 import (
-	"sort"
-
 	"roborepair/internal/geom"
 	"roborepair/internal/metrics"
 	"roborepair/internal/netstack"
@@ -15,22 +13,40 @@ import (
 // when Reliability.FloodTTL is unset (matches the core flood TTL).
 const defaultTakeoverTTL = 32
 
+// Liveness is the heartbeat timing of the reliability extension, shared
+// by the robots and by both kinds of manager. The zero value reproduces
+// the paper's model exactly: no heartbeats, no acks, no re-dispatch.
+type Liveness struct {
+	// HeartbeatPeriod > 0 enables the protocol: robots publish their
+	// location every period even when idle (the heartbeat other parties
+	// use to detect a death), reports and requests are acked, and repair
+	// tasks are de-duplicated by failed-node ID.
+	HeartbeatPeriod sim.Duration
+	// MissedHeartbeats is how many silent periods declare a robot (or the
+	// manager) dead (3 when unset).
+	MissedHeartbeats int
+	// DispatchAckTimeout is a manager's initial re-dispatch timeout for
+	// unacknowledged repair requests (doubled per attempt, capped at 8x).
+	DispatchAckTimeout sim.Duration
+}
+
+// Enabled reports whether the reliability protocol is on.
+func (l Liveness) Enabled() bool { return l.HeartbeatPeriod > 0 }
+
+// deadAfter is the silence that declares a robot or the manager dead.
+func (l Liveness) deadAfter() sim.Duration {
+	n := l.MissedHeartbeats
+	if n <= 0 {
+		n = 3
+	}
+	return l.HeartbeatPeriod * sim.Duration(n)
+}
+
 // Reliability holds the robot-side knobs of the reliability extension.
 // The zero value reproduces the paper's model exactly: no heartbeats, no
 // acks, no failover.
 type Reliability struct {
-	// HeartbeatPeriod > 0 enables the protocol: the robot publishes its
-	// location every period even when idle (the heartbeat other parties
-	// use to detect its death), acks reports and requests, and de-
-	// duplicates repair tasks by failed-node ID.
-	HeartbeatPeriod sim.Duration
-	// MissedHeartbeats is how many silent periods declare a peer (or the
-	// manager) dead.
-	MissedHeartbeats int
-	// DispatchAckTimeout is the managing role's initial re-dispatch
-	// timeout for unacknowledged repair requests (doubled per attempt,
-	// capped at 8x).
-	DispatchAckTimeout sim.Duration
+	Liveness
 	// Manager is the central manager to ack heartbeats with and to watch
 	// for death (0 under the distributed algorithms).
 	Manager radio.NodeID
@@ -45,41 +61,11 @@ type Reliability struct {
 	FloodTTL int
 }
 
-// Enabled reports whether the reliability protocol is on.
-func (rl Reliability) Enabled() bool { return rl.HeartbeatPeriod > 0 }
-
 func (rl Reliability) floodTTL() int {
 	if rl.FloodTTL > 0 {
 		return rl.FloodTTL
 	}
 	return defaultTakeoverTTL
-}
-
-// deadAfter is the silence that declares a peer or manager dead.
-func (rl Reliability) deadAfter() sim.Duration {
-	n := rl.MissedHeartbeats
-	if n <= 0 {
-		n = 3
-	}
-	return rl.HeartbeatPeriod * sim.Duration(n)
-}
-
-// peerState is what a managing robot knows about another robot.
-type peerState struct {
-	loc   geom.Point
-	heard sim.Time
-	load  int
-	seq   uint64
-}
-
-// outDispatch is a repair request the managing robot has issued and not
-// yet seen completed.
-type outDispatch struct {
-	req      wire.RepairRequest
-	robot    radio.NodeID
-	lastSent sim.Time
-	attempts int
-	acked    bool
 }
 
 // Stranded returns the tasks that died with this robot (set by FailNow).
@@ -174,10 +160,7 @@ func (r *Robot) heardTakeover(t wire.ManagerTakeover) {
 		// dispatched to others so the new manager can assign it to us, and
 		// let reporter retransmission re-surface it there. Our own queued
 		// tasks stay seen and get served.
-		for failed := range r.outstanding {
-			delete(r.seen, failed)
-			delete(r.outstanding, failed)
-		}
+		r.book.Retire(func(wire.RepairRequest) bool { return true })
 	}
 	r.sched.Cancel(r.takeoverEv)
 	r.takeoverArmed = false
@@ -187,27 +170,13 @@ func (r *Robot) heardTakeover(t wire.ManagerTakeover) {
 	r.publish() // register with the new manager immediately
 }
 
-// notePeer records another robot's location update for the managing role.
-func (r *Robot) notePeer(up wire.RobotUpdate) {
-	if up.Robot == r.id {
-		return
-	}
-	if p, ok := r.peers[up.Robot]; r.cfg.StrictSeq && ok && up.Seq < p.seq {
-		// Hostile channel: a replayed update would roll the peer's position
-		// back. Equal Seq is an idempotent duplicate and passes.
-		r.replayRejected++
-		return
-	}
-	r.peers[up.Robot] = peerState{loc: up.Loc, heard: r.sched.Now(), load: up.Load, seq: up.Seq}
-}
-
 // handleFloodRel processes floods a reliability-enabled robot overhears.
 func (r *Robot) handleFloodRel(m netstack.FloodMsg) {
 	switch pl := m.Payload.(type) {
 	case wire.ManagerTakeover:
 		r.heardTakeover(pl)
 	case wire.RobotUpdate:
-		r.notePeer(pl)
+		r.book.Note(pl, r.sched.Now())
 		switch {
 		case pl.Managing && pl.Robot != r.id && (r.managing || r.takeoverArmed || r.mgrID != pl.Robot):
 			// A standing manager claim that is news to us: adopt it (or,
@@ -220,20 +189,6 @@ func (r *Robot) handleFloodRel(m netstack.FloodMsg) {
 			r.lastMgrAck = r.sched.Now()
 		}
 	}
-}
-
-// ackReport routes an ack back to a reporting guardian so it stops
-// retransmitting. Reports without a sequence number expect no ack.
-func (r *Robot) ackReport(rep wire.FailureReport) {
-	if rep.Seq == 0 || rep.Reporter == 0 {
-		return
-	}
-	r.router.Originate(netstack.Packet{
-		Dst:      rep.Reporter,
-		DstLoc:   rep.ReporterLoc,
-		Category: metrics.CatAck,
-		Payload:  wire.ReportAck{Reporter: rep.Reporter, Failed: rep.Failed, Seq: rep.Seq},
-	})
 }
 
 // ackDispatch confirms a repair request back to its dispatcher. The
@@ -267,19 +222,14 @@ func (r *Robot) dropQueuedAt(loc geom.Point) {
 		kept := r.queue[:0]
 		for _, t := range r.queue {
 			if t.Loc.Dist2(loc) <= eps2 {
-				delete(r.seen, t.Failed)
+				r.book.Unsee(t.Failed)
 				continue
 			}
 			kept = append(kept, t)
 		}
 		r.queue = kept
 	}
-	for failed, o := range r.outstanding {
-		if o.req.Loc.Dist2(loc) <= eps2 {
-			delete(r.outstanding, failed)
-			delete(r.seen, failed)
-		}
-	}
+	r.book.Retire(func(req wire.RepairRequest) bool { return req.Loc.Dist2(loc) <= eps2 })
 }
 
 // reportDone tells the dispatcher a repair completed.
@@ -299,100 +249,32 @@ func (r *Robot) reportDone(failed radio.NodeID) {
 // report, pick the closest live robot (itself included), and either
 // enqueue locally or issue a tracked repair request.
 func (r *Robot) dispatchAsManager(rep wire.FailureReport) {
-	if r.seen[rep.Failed] {
+	if !r.book.MarkSeen(rep.Failed) {
 		return
 	}
-	r.seen[rep.Failed] = true
 	now := r.sched.Now()
-	target := r.closestLivePeer(rep.Loc, now)
-	if target == r.id {
-		r.enqueueTask(Task{Failed: rep.Failed, Loc: rep.Loc, EnqueuedAt: now})
+	if target, _ := r.closestLive(rep.Loc, now); target != r.id {
+		r.book.Issue(r.book.Request(rep, now), target, now)
 		return
 	}
-	req := wire.RepairRequest{
-		Failed: rep.Failed, Loc: rep.Loc, IssuedAt: now,
-		Manager: r.id, ManagerLoc: r.Pos(),
-	}
-	r.outstanding[rep.Failed] = &outDispatch{req: req, robot: target, lastSent: now, attempts: 1}
-	if r.hooks.OnRequestIssued != nil {
-		r.hooks.OnRequestIssued(req, target)
-	}
-	r.router.Originate(netstack.Packet{
-		Dst:      target,
-		DstLoc:   r.peers[target].loc,
-		Category: metrics.CatRepairRequest,
-		Payload:  req,
-	})
+	r.enqueueTask(Task{Failed: rep.Failed, Loc: rep.Loc, EnqueuedAt: now})
 }
 
-// closestLivePeer returns the live robot closest to loc, the managing
-// robot itself included; ties break toward the lowest ID.
-func (r *Robot) closestLivePeer(loc geom.Point, now sim.Time) radio.NodeID {
-	deadline := now.Sub(r.cfg.Reliability.deadAfter())
-	best := r.id
-	bestD := r.Pos().Dist2(loc)
-	ids := make([]radio.NodeID, 0, len(r.peers))
-	for id := range r.peers {
-		ids = append(ids, id)
+// closestLive returns the live robot closest to loc, the managing robot
+// itself included; ties break toward the lowest ID. ok is always true.
+func (r *Robot) closestLive(loc geom.Point, now sim.Time) (radio.NodeID, bool) {
+	self := r.Pos().Dist2(loc)
+	id, d, ok := r.book.Best(now, func(e FleetEntry) float64 { return e.Loc.Dist2(loc) })
+	if !ok || self < d || (self == d && r.id < id) {
+		return r.id, true
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		p := r.peers[id]
-		if p.heard < deadline {
-			continue
-		}
-		d := p.loc.Dist2(loc)
-		if d < bestD || (d == bestD && id < best) {
-			best, bestD = id, d
-		}
-	}
-	return best
+	return id, true
 }
 
 // managerTick re-dispatches outstanding requests whose robot died or
-// never acknowledged, with per-request exponential backoff.
+// never acknowledged; a request re-assigned to this robot is queued here.
 func (r *Robot) managerTick() {
-	now := r.sched.Now()
-	rel := r.cfg.Reliability
-	deadline := now.Sub(rel.deadAfter())
-	ids := make([]radio.NodeID, 0, len(r.outstanding))
-	for id := range r.outstanding {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, failed := range ids {
-		o := r.outstanding[failed]
-		dead := false
-		if p, ok := r.peers[o.robot]; !ok || p.heard < deadline {
-			dead = true
-		}
-		timeout := rel.DispatchAckTimeout * sim.Duration(uint64(1)<<uint(min(max(o.attempts-1, 0), 3)))
-		if dead || (!o.acked && now.Sub(o.lastSent) >= timeout) {
-			r.redispatch(failed, o, now)
-		}
-	}
-}
-
-// redispatch re-issues an outstanding request to the closest live robot.
-func (r *Robot) redispatch(failed radio.NodeID, o *outDispatch, now sim.Time) {
-	target := r.closestLivePeer(o.req.Loc, now)
-	o.attempts++
-	if r.hooks.OnRedispatch != nil {
-		r.hooks.OnRedispatch(o.req, target, o.attempts)
-	}
-	if target == r.id {
-		delete(r.outstanding, failed)
-		r.enqueueTask(Task{Failed: o.req.Failed, Loc: o.req.Loc, EnqueuedAt: now})
-		return
-	}
-	o.robot = target
-	o.lastSent = now
-	o.acked = false
-	o.req.Manager, o.req.ManagerLoc = r.id, r.Pos()
-	r.router.Originate(netstack.Packet{
-		Dst:      target,
-		DstLoc:   r.peers[target].loc,
-		Category: metrics.CatRepairRequest,
-		Payload:  o.req,
+	r.book.Redispatch(r.sched.Now(), r.closestLive, func(req wire.RepairRequest) {
+		r.enqueueTask(Task{Failed: req.Failed, Loc: req.Loc, EnqueuedAt: r.sched.Now()})
 	})
 }

@@ -192,10 +192,10 @@ type Robot struct {
 	takeoverArmed  bool
 	managing       bool
 	stranded       []Task
-	seen           map[radio.NodeID]bool         // failed IDs already queued or dispatched
-	replayRejected uint64                        // peer updates dropped by the StrictSeq guard
-	peers          map[radio.NodeID]peerState    // other robots, by last heartbeat
-	outstanding    map[radio.NodeID]*outDispatch // managing role: issued requests by failed ID
+	replayRejected uint64 // relocation commands dropped by the StrictSeq guard
+	// book tracks the other robots by heartbeat, the failed IDs already
+	// queued or dispatched, and (managing role) the issued requests.
+	book *Book
 }
 
 var _ radio.Station = (*Robot)(nil)
@@ -218,11 +218,6 @@ func New(id radio.NodeID, pos geom.Point, cfg Config, mode UpdateMode, medium *r
 		indexedPos: pos,
 		cargo:      cargo,
 	}
-	if cfg.Reliability.Enabled() {
-		r.seen = make(map[radio.NodeID]bool)
-		r.peers = make(map[radio.NodeID]peerState)
-		r.outstanding = make(map[radio.NodeID]*outDispatch)
-	}
 	if cfg.Battery.Enabled() {
 		r.bat = energy.NewBattery(cfg.Battery.CapacityJ)
 		r.batAt = r.sched.Now()
@@ -242,6 +237,17 @@ func New(id radio.NodeID, pos geom.Point, cfg Config, mode UpdateMode, medium *r
 		OnDrop: func(p netstack.Packet, reason netstack.DropReason) {
 			medium.Metrics().CountTx("drop_"+string(reason), 1)
 		},
+	}
+	if rel := cfg.Reliability; rel.Enabled() {
+		r.book = NewBook(BookConfig{
+			Self:            id,
+			Pos:             r.Pos,
+			Router:          r.router,
+			Liveness:        rel.Liveness,
+			StrictSeq:       cfg.StrictSeq,
+			OnRequestIssued: hooks.OnRequestIssued,
+			OnRedispatch:    hooks.OnRedispatch,
+		})
 	}
 	return r
 }
@@ -281,9 +287,9 @@ func (r *Robot) Cargo() int { return r.cargo }
 // Restocks reports how many depot reload trips the robot has made.
 func (r *Robot) Restocks() int { return r.restocks }
 
-// ReplayRejected reports how many peer updates the StrictSeq guard
-// rejected as stale.
-func (r *Robot) ReplayRejected() uint64 { return r.replayRejected }
+// ReplayRejected reports how many peer updates and relocation commands
+// the StrictSeq guard rejected as stale.
+func (r *Robot) ReplayRejected() uint64 { return r.replayRejected + r.book.ReplayRejected() }
 
 // Router exposes the robot's router (the central manager role reuses it).
 func (r *Robot) Router() *netstack.Router { return r.router }
@@ -381,7 +387,7 @@ func (r *Robot) HandleFrame(f radio.Frame) {
 	case wire.RobotUpdate:
 		// One-hop announce from a nearby robot (centralized mode).
 		if r.cfg.Reliability.Enabled() && !r.failed {
-			r.notePeer(m)
+			r.book.Note(m, r.sched.Now())
 		}
 	case wire.Beacon:
 		// Sensor chatter is ignored in the paper's model; the reliability
@@ -415,7 +421,7 @@ func (r *Robot) deliver(p netstack.Packet) {
 			r.hooks.OnReportReceived(m, p.Hops)
 		}
 		if rel {
-			r.ackReport(m)
+			r.book.AckReport(m)
 			if r.managing {
 				r.dispatchAsManager(m)
 				return
@@ -436,26 +442,18 @@ func (r *Robot) deliver(p netstack.Packet) {
 		// Worker heartbeat unicast to this robot in its managing role:
 		// track the worker and ack so it knows its manager is alive.
 		if rel {
-			r.notePeer(m)
+			r.book.Note(m, r.sched.Now())
 			if r.managing && m.Robot != r.id {
-				r.router.Originate(netstack.Packet{
-					Dst:      m.Robot,
-					DstLoc:   m.Loc,
-					Category: metrics.CatAck,
-					Payload:  wire.HeartbeatAck{Manager: r.id, Seq: m.Seq},
-				})
+				r.book.AckHeartbeat(m)
 			}
 		}
 	case wire.DispatchAck:
 		if r.managing {
-			if o, ok := r.outstanding[m.Failed]; ok && o.robot == m.Robot {
-				o.acked = true
-			}
+			r.book.Ack(m.Robot, m.Failed)
 		}
 	case wire.RepairDone:
 		if r.managing {
-			delete(r.outstanding, m.Failed)
-			delete(r.seen, m.Failed)
+			r.book.Done(m.Failed)
 		}
 	case wire.Relocate:
 		if m.Robot == r.id {
@@ -533,11 +531,8 @@ func (r *Robot) Enqueue(t Task) {
 	if r.failed {
 		return
 	}
-	if r.seen != nil {
-		if r.seen[t.Failed] {
-			return
-		}
-		r.seen[t.Failed] = true
+	if r.book != nil && !r.book.MarkSeen(t.Failed) {
+		return
 	}
 	r.enqueueTask(t)
 }
@@ -719,10 +714,10 @@ func (r *Robot) finish(t Task, dist float64) {
 	reg.Observe(metrics.SeriesTravelPerFailure, dist)
 	reg.Observe(metrics.SeriesRepairDelay, float64(r.sched.Now().Sub(t.EnqueuedAt)))
 	reg.Observe(metrics.SeriesQueueLength, float64(len(r.queue)))
-	if r.seen != nil {
+	if r.book != nil {
 		// The site is repaired: a genuine re-failure there may be reported
 		// (and served) anew.
-		delete(r.seen, t.Failed)
+		r.book.Unsee(t.Failed)
 		r.reportDone(t.Failed)
 	}
 	r.current = nil

@@ -1,11 +1,6 @@
 package robot
 
-import (
-	"sort"
-
-	"roborepair/internal/checkpoint"
-	"roborepair/internal/radio"
-)
+import "roborepair/internal/checkpoint"
 
 // AppendState serializes the robot's complete dynamic state in canonical
 // order (checkpoint section payload). Scheduled-event handles (arrival,
@@ -60,45 +55,7 @@ func (r *Robot) AppendState(b []byte) []byte {
 	b = checkpoint.AppendBool(b, r.takeoverArmed)
 	b = checkpoint.AppendBool(b, r.managing)
 
-	b = appendIDSet(b, r.seen)
-
-	peerIDs := make([]radio.NodeID, 0, len(r.peers))
-	for id := range r.peers {
-		peerIDs = append(peerIDs, id)
-	}
-	sort.Slice(peerIDs, func(i, j int) bool { return peerIDs[i] < peerIDs[j] })
-	b = checkpoint.AppendU32(b, uint32(len(peerIDs)))
-	for _, id := range peerIDs {
-		p := r.peers[id]
-		b = checkpoint.AppendI64(b, int64(id))
-		b = checkpoint.AppendF64(b, p.loc.X)
-		b = checkpoint.AppendF64(b, p.loc.Y)
-		b = checkpoint.AppendF64(b, float64(p.heard))
-		b = checkpoint.AppendI64(b, int64(p.load))
-		b = checkpoint.AppendU64(b, p.seq)
-	}
-
-	outIDs := make([]radio.NodeID, 0, len(r.outstanding))
-	for id := range r.outstanding {
-		outIDs = append(outIDs, id)
-	}
-	sort.Slice(outIDs, func(i, j int) bool { return outIDs[i] < outIDs[j] })
-	b = checkpoint.AppendU32(b, uint32(len(outIDs)))
-	for _, id := range outIDs {
-		o := r.outstanding[id]
-		b = checkpoint.AppendI64(b, int64(id))
-		b = checkpoint.AppendI64(b, int64(o.req.Failed))
-		b = checkpoint.AppendF64(b, o.req.Loc.X)
-		b = checkpoint.AppendF64(b, o.req.Loc.Y)
-		b = checkpoint.AppendF64(b, float64(o.req.IssuedAt))
-		b = checkpoint.AppendI64(b, int64(o.req.Manager))
-		b = checkpoint.AppendF64(b, o.req.ManagerLoc.X)
-		b = checkpoint.AppendF64(b, o.req.ManagerLoc.Y)
-		b = checkpoint.AppendI64(b, int64(o.robot))
-		b = checkpoint.AppendF64(b, float64(o.lastSent))
-		b = checkpoint.AppendI64(b, int64(o.attempts))
-		b = checkpoint.AppendBool(b, o.acked)
-	}
+	b = r.book.AppendState(b)
 
 	// Standby-relocation state (appended after the original layout:
 	// sections are byte-compared, never field-decoded, so extending the
@@ -127,22 +84,6 @@ func (r *Robot) AppendState(b []byte) []byte {
 		b = checkpoint.AppendI64(b, int64(r.handoffs))
 		b = checkpoint.AppendBool(b, r.died)
 		b = checkpoint.AppendF64(b, float64(r.diedAt))
-	}
-	return b
-}
-
-// appendIDSet serializes a NodeID set in ascending order.
-func appendIDSet(b []byte, set map[radio.NodeID]bool) []byte {
-	ids := make([]radio.NodeID, 0, len(set))
-	for id, on := range set {
-		if on {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	b = checkpoint.AppendU32(b, uint32(len(ids)))
-	for _, id := range ids {
-		b = checkpoint.AppendI64(b, int64(id))
 	}
 	return b
 }

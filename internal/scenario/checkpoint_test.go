@@ -10,6 +10,7 @@ import (
 	"roborepair/internal/checkpoint"
 	"roborepair/internal/core"
 	"roborepair/internal/sim"
+	"roborepair/internal/trace"
 )
 
 // ckptConfig is the differential-test base: short horizon with failures
@@ -50,14 +51,24 @@ func ckptConfig(alg core.Algorithm) Config {
 func TestCheckpointRestoreDifferential(t *testing.T) {
 	contention := ckptConfig(core.Centralized)
 	contention.MACContention = true
+	// The manager crashes at 900 s and a robot takes the role over ~100 s
+	// later, so the t=1200 snapshot carries a managing robot's dispatch book.
+	takeover := ckptConfig(core.Centralized)
+	plan, err := chaos.Parse("mgr@900")
+	if err != nil {
+		t.Fatal(err)
+	}
+	takeover.Faults = plan
 	cases := []struct {
-		name string
-		cfg  Config
+		name         string
+		cfg          Config
+		wantTakeover bool // a takeover must precede the t=1200 snapshot
 	}{
-		{"centralized/ladder", ckptConfig(core.Centralized)},
-		{"fixed/ladder", ckptConfig(core.Fixed)},
-		{"dynamic/ladder", ckptConfig(core.Dynamic)},
-		{"centralized/contention", contention},
+		{"centralized/ladder", ckptConfig(core.Centralized), false},
+		{"fixed/ladder", ckptConfig(core.Fixed), false},
+		{"dynamic/ladder", ckptConfig(core.Dynamic), false},
+		{"centralized/contention", contention, false},
+		{"centralized/takeover", takeover, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -70,6 +81,12 @@ func TestCheckpointRestoreDifferential(t *testing.T) {
 			}
 			resA := resultsJSON(t, wA.Run())
 			traceA := wA.Trace.Events()
+			if tc.wantTakeover {
+				ev := wA.Trace.Filter(trace.KindTakeover)
+				if len(ev) == 0 || ev[0].At >= 1200 {
+					t.Fatalf("no takeover before the t=1200 snapshot: %v", ev)
+				}
+			}
 
 			// Checkpointed run: snapshot every 600 s, keep the one at
 			// t=1200 round-tripped through the binary format.

@@ -43,9 +43,6 @@ type World struct {
 	policy   node.Policy
 	strategy algorithm.Strategy
 
-	// counters, incremented by hooks (see below); trace records lifecycle
-	// events when enabled.
-
 	// counters, incremented by hooks
 	failuresInjected  int
 	reportsSent       int
@@ -170,12 +167,10 @@ func New(cfg Config) (*World, error) {
 		if w.inv != nil {
 			w.inv.FailureInjected(s.ID(), s.Pos())
 		}
-		if w.Trace != nil {
-			w.Trace.Record(trace.Event{
-				At: sched.Now(), Kind: trace.KindFailure,
-				Node: s.ID(), Loc: s.Pos(),
-			})
-		}
+		w.trace(trace.Event{
+			At: sched.Now(), Kind: trace.KindFailure,
+			Node: s.ID(), Loc: s.Pos(),
+		})
 	}
 
 	side := cfg.FieldSide()
@@ -215,19 +210,10 @@ func New(cfg Config) (*World, error) {
 		ManagerID:  managerID,
 		RobotRange: cfg.RobotRange,
 		ManagerHooks: core.ManagerHooks{
-			OnReportReceived: func(rep wire.FailureReport, hops int) {
-				w.reportsDelivered++
-				reg.Observe(metrics.SeriesReportHops, float64(hops))
-				w.telReportHops.Add(float64(hops))
-				w.trace(trace.Event{
-					At: sched.Now(), Kind: trace.KindReportDelivered,
-					Node: rep.Failed, Actor: managerID, Loc: rep.Loc,
-				})
-			},
-			OnRequestIssued: w.requestIssued,
-			OnRedispatch:    w.requestRedispatched,
+			OnReportReceived: w.reportReceived(managerID),
+			OnRequestIssued:  w.requestIssued,
+			OnRedispatch:     w.requestRedispatched,
 		},
-		RelEnabled: rel.Enabled,
 		Facility: algorithm.FacilityParams{
 			Objective: cfg.FacilityObjective,
 			Period:    cfg.FacilityPeriodS,
@@ -235,7 +221,7 @@ func New(cfg Config) (*World, error) {
 		},
 	}
 	if rel.Enabled {
-		env.ManagerRel = core.ManagerReliability{
+		env.ManagerRel = robot.Liveness{
 			HeartbeatPeriod:    sim.Duration(rel.HeartbeatS),
 			MissedHeartbeats:   rel.MissedHeartbeats,
 			DispatchAckTimeout: sim.Duration(rel.DispatchAckTimeoutS),
@@ -309,15 +295,7 @@ func New(cfg Config) (*World, error) {
 				Node: t.Failed, Actor: r.ID(), Loc: t.Loc,
 			})
 		},
-		OnReportReceived: func(rep wire.FailureReport, hops int) {
-			w.reportsDelivered++
-			reg.Observe(metrics.SeriesReportHops, float64(hops))
-			w.telReportHops.Add(float64(hops))
-			w.trace(trace.Event{
-				At: sched.Now(), Kind: trace.KindReportDelivered,
-				Node: rep.Failed, Loc: rep.Loc,
-			})
-		},
+		OnReportReceived: w.reportReceived(0),
 		OnRequestReceived: func(req wire.RepairRequest, hops int) {
 			w.requestsDelivered++
 			reg.Observe(metrics.SeriesRequestHops, float64(hops))
@@ -429,11 +407,7 @@ func New(cfg Config) (*World, error) {
 		}
 	}
 	if rel.Enabled {
-		rcfg.Reliability = robot.Reliability{
-			HeartbeatPeriod:    sim.Duration(rel.HeartbeatS),
-			MissedHeartbeats:   rel.MissedHeartbeats,
-			DispatchAckTimeout: sim.Duration(rel.DispatchAckTimeoutS),
-		}
+		rcfg.Reliability = robot.Reliability{Liveness: env.ManagerRel}
 		if strat.CentralDispatch() {
 			rcfg.Reliability.Manager = managerID
 			rcfg.Reliability.ManagerLoc = bounds.Center()
@@ -618,12 +592,8 @@ func (w *World) startCoverageSampling(bounds geom.Rect) {
 	}
 }
 
-// trace records an event when tracing is enabled.
-func (w *World) trace(e trace.Event) {
-	if w.Trace != nil {
-		w.Trace.Record(e)
-	}
-}
+// trace records an event when tracing is enabled (Record is nil-safe).
+func (w *World) trace(e trace.Event) { w.Trace.Record(e) }
 
 // sensorConfig derives the node.Config from the scenario configuration.
 func (w *World) sensorConfig() node.Config {
@@ -727,6 +697,21 @@ func (w *World) spawnReplacement(r *robot.Robot, loc geom.Point) radio.NodeID {
 	}
 	s := w.spawnSensor(loc, rng.Split(w.Cfg.Seed, "respawn-jitter"), true, target, targetLoc)
 	return s.ID()
+}
+
+// reportReceived returns the hook that counts and traces a failure report
+// delivered to its dispatcher: the central manager (actor is its ID) or a
+// robot (actor 0, as the trace has always recorded it).
+func (w *World) reportReceived(actor radio.NodeID) func(wire.FailureReport, int) {
+	return func(rep wire.FailureReport, hops int) {
+		w.reportsDelivered++
+		w.Registry.Observe(metrics.SeriesReportHops, float64(hops))
+		w.telReportHops.Add(float64(hops))
+		w.trace(trace.Event{
+			At: w.Sched.Now(), Kind: trace.KindReportDelivered,
+			Node: rep.Failed, Actor: actor, Loc: rep.Loc,
+		})
+	}
 }
 
 // requestIssued counts and traces a repair request dispatched by the

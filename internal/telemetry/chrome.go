@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 
+	"roborepair/internal/metrics"
 	"roborepair/internal/radio"
 	"roborepair/internal/trace"
 )
@@ -228,8 +229,8 @@ func WriteChromeTrace(w io.Writer, log *trace.Log, opt ChromeOptions) error {
 		return out[i].Ts < out[j].Ts
 	})
 
-	ew := &errWriter{w: w}
-	ew.printf("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
+	ew := &metrics.ErrWriter{W: w}
+	ew.Printf("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
 	for i := range out {
 		b, err := json.Marshal(out[i])
 		if err != nil {
@@ -239,8 +240,8 @@ func WriteChromeTrace(w io.Writer, log *trace.Log, opt ChromeOptions) error {
 		if i == len(out)-1 {
 			sep = ""
 		}
-		ew.printf(" %s%s\n", b, sep)
+		ew.Printf(" %s%s\n", b, sep)
 	}
-	ew.printf("]}\n")
-	return ew.err
+	ew.Printf("]}\n")
+	return ew.Err
 }

@@ -103,10 +103,13 @@ func (e Event) String() string {
 }
 
 // Log is a bounded event recorder. A zero capacity records nothing (all
-// methods stay safe); a negative capacity records without bound.
+// methods stay safe); a negative capacity records without bound. A full
+// bounded log is a ring: events[head] is the oldest retained event, so
+// eviction is O(1).
 type Log struct {
 	cap     int
 	events  []Event
+	head    int
 	counts  map[Kind]int
 	dropped int
 }
@@ -126,12 +129,23 @@ func (l *Log) Record(e Event) {
 		return
 	}
 	l.counts[e.Kind]++
-	if l.cap > 0 && len(l.events) >= l.cap {
-		copy(l.events, l.events[1:])
-		l.events = l.events[:len(l.events)-1]
+	if l.cap > 0 && len(l.events) == l.cap {
+		l.events[l.head] = e
+		l.head = (l.head + 1) % l.cap
 		l.dropped++
+		return
 	}
 	l.events = append(l.events, e)
+}
+
+// each calls fn on every retained event in record order.
+func (l *Log) each(fn func(Event)) {
+	for _, e := range l.events[l.head:] {
+		fn(e)
+	}
+	for _, e := range l.events[:l.head] {
+		fn(e)
+	}
 }
 
 // Len reports the number of retained events.
@@ -164,9 +178,9 @@ func (l *Log) Events() []Event {
 	if l == nil {
 		return nil
 	}
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
-	return out
+	out := make([]Event, 0, len(l.events))
+	out = append(out, l.events[l.head:]...)
+	return append(out, l.events[:l.head]...)
 }
 
 // Filter returns the retained events of kind k.
@@ -175,11 +189,11 @@ func (l *Log) Filter(k Kind) []Event {
 		return nil
 	}
 	var out []Event
-	for _, e := range l.events {
+	l.each(func(e Event) {
 		if e.Kind == k {
 			out = append(out, e)
 		}
-	}
+	})
 	return out
 }
 
@@ -190,11 +204,11 @@ func (l *Log) ForNode(id radio.NodeID) []Event {
 		return nil
 	}
 	var out []Event
-	for _, e := range l.events {
+	l.each(func(e Event) {
 		if e.Node == id {
 			out = append(out, e)
 		}
-	}
+	})
 	return out
 }
 
@@ -255,13 +269,13 @@ func (l *Log) Chains() []Chain {
 		return nil
 	}
 	var out []Chain
-	for _, e := range l.events {
+	l.each(func(e Event) {
 		if e.Kind == KindFailure {
 			if c, ok := l.ChainFor(e.Node); ok {
 				out = append(out, c)
 			}
 		}
-	}
+	})
 	return out
 }
 
@@ -272,7 +286,7 @@ func (l *Log) Render(limit int) string {
 		return ""
 	}
 	var b strings.Builder
-	for i, e := range l.events {
+	for i, e := range l.Events() {
 		if limit > 0 && i >= limit {
 			fmt.Fprintf(&b, "… %d more events\n", len(l.events)-i)
 			break

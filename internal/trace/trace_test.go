@@ -1,10 +1,13 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"roborepair/internal/geom"
+	"roborepair/internal/radio"
+	"roborepair/internal/sim"
 )
 
 func TestDisabledLogIsSafe(t *testing.T) {
@@ -51,6 +54,52 @@ func TestBoundedLogEvictsFIFO(t *testing.T) {
 	// Counts include evicted events.
 	if l.Count(KindFailure) != 5 {
 		t.Fatalf("Count = %d", l.Count(KindFailure))
+	}
+}
+
+// TestBoundedLogRingWraps wraps the ring several times at every phase and
+// checks that every reader sees exactly the newest events in record order,
+// with the rest counted as dropped.
+func TestBoundedLogRingWraps(t *testing.T) {
+	const capacity = 4
+	for total := 0; total <= 4*capacity+3; total++ {
+		l := New(capacity)
+		var all []Event
+		for i := 0; i < total; i++ {
+			e := Event{At: sim.Time(i), Kind: Kind(i%3 + 1), Node: radio.NodeID(i % 2), Loc: geom.Pt(float64(i), 0)}
+			all = append(all, e)
+			l.Record(e)
+		}
+		want := all[max(0, total-capacity):]
+		if got := l.Events(); !reflect.DeepEqual(got, append([]Event{}, want...)) {
+			t.Fatalf("total %d: Events = %v, want %v", total, got, want)
+		}
+		if l.Len() != len(want) || l.Dropped() != total-len(want) {
+			t.Fatalf("total %d: len=%d dropped=%d", total, l.Len(), l.Dropped())
+		}
+		var failures, node1 []Event
+		var text strings.Builder
+		for _, e := range want {
+			if e.Kind == KindFailure {
+				failures = append(failures, e)
+			}
+			if e.Node == 1 {
+				node1 = append(node1, e)
+			}
+			text.WriteString(e.String() + "\n")
+		}
+		if got := l.Filter(KindFailure); !reflect.DeepEqual(got, failures) {
+			t.Fatalf("total %d: Filter = %v, want %v", total, got, failures)
+		}
+		if got := l.ForNode(1); !reflect.DeepEqual(got, node1) {
+			t.Fatalf("total %d: ForNode = %v, want %v", total, got, node1)
+		}
+		if got := l.Render(0); got != text.String() {
+			t.Fatalf("total %d: Render =\n%s\nwant\n%s", total, got, text.String())
+		}
+		if n := (total + 2) / 3; l.Count(KindFailure) != n {
+			t.Fatalf("total %d: Count = %d, want %d", total, l.Count(KindFailure), n)
+		}
 	}
 }
 
